@@ -494,6 +494,46 @@ func BenchmarkCXLPortBurst(b *testing.B) {
 	}
 }
 
+// BenchmarkPortBulk measures the bulk byte path the pmem persist and
+// pool loads take: one 64 MiB RootPort.WriteAt then ReadAt per
+// iteration. Transfers this large fan out across the port's virtual
+// channels, up to one part per GOMAXPROCS.
+func BenchmarkPortBulk(b *testing.B) {
+	const size = 64 << 20
+	card, err := fpga.New(fpga.Options{ChannelCapacity: size})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rp := cxl.NewRootPort("rp", card.Link())
+	if err := rp.Attach(card); err != nil {
+		b.Fatal(err)
+	}
+	h, err := cxl.Enumerate(0, rp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	off := int64(h.Windows[0].Base)
+	buf := make([]byte, size)
+	for i := range buf {
+		buf[i] = byte(i)
+	}
+	// Pre-touch the window so steady state measures the wire, not
+	// first-touch page materialisation in the sparse media store.
+	if err := rp.WriteAt(buf, off); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(2 * size) // one write + one read per iteration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := rp.WriteAt(buf, off); err != nil {
+			b.Fatal(err)
+		}
+		if err := rp.ReadAt(buf, off); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchInterleaveSet builds a ways-wide striped data path over
 // independent FPGA cards (8 MiB channels each), one root port per leg.
 func benchInterleaveSet(b *testing.B, ways int, granule uint64) *cxl.InterleaveSet {

@@ -2,6 +2,7 @@ package cxl
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -479,4 +480,35 @@ func TestSwitchRebindDuringTraffic(t *testing.T) {
 	if err := churnErr.Load(); err != nil {
 		t.Fatalf("control-plane churn failed: %v", err)
 	}
+}
+
+// TestPartialWritesLineAtomic drives MemWrPtl traffic from several
+// writers at disjoint words of one line: the device's read-merge-write
+// must be atomic per line, so every writer reads back the word it just
+// wrote. A lost update shows up as a writer seeing an older value.
+func TestPartialWritesLineAtomic(t *testing.T) {
+	_, dev := concurrencyPort(t, 1<<20)
+	const writers, iters = 4, 2000
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			word := 8 * g
+			for i := 1; i <= iters; i++ {
+				req := MemReq{Opcode: OpMemWrPtl, Addr: uint64(LineSize), Mask: 0xff << uint(word)}
+				binary.LittleEndian.PutUint64(req.Data[word:], uint64(i))
+				if resp := dev.HandleMem(req); resp.Opcode != RespCmp {
+					t.Errorf("writer %d: MemWrPtl response %v", g, resp.Opcode)
+					return
+				}
+				resp := dev.HandleMem(MemReq{Opcode: OpMemRd, Addr: uint64(LineSize)})
+				if got := binary.LittleEndian.Uint64(resp.Data[word:]); got != uint64(i) {
+					t.Errorf("writer %d: word = %d after writing %d (lost update)", g, got, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -98,6 +98,19 @@ type Type3Device struct {
 	// read-lock round trip for configuration that changes only at
 	// enumeration time.
 	snap atomic.Pointer[deviceSnapshot]
+	// lineLocks makes single-line media updates line-atomic: a
+	// MemWrPtl's read-merge-write and a MemWr's store hold the stripe
+	// of their DPA line, so two hosts writing different bytes of one
+	// line (through one window or two) never erase each other's update.
+	lineLocks [lineLockStripes]sync.Mutex
+}
+
+// lineLockStripes is the number of per-line lock stripes (power of two).
+const lineLockStripes = 64
+
+// lineLock returns the stripe lock guarding the DPA line at dpa.
+func (d *Type3Device) lineLock(dpa uint64) *sync.Mutex {
+	return &d.lineLocks[(dpa/uint64(LineSize))&(lineLockStripes-1)]
 }
 
 // deviceSnapshot is the immutable hot-path view of the device config.
@@ -297,7 +310,11 @@ func (d *Type3Device) HandleMem(req MemReq) MemResp {
 	case OpMemWr:
 		line := linePool.Get().(*[LineSize]byte)
 		*line = req.Data
-		if err := d.media.WriteAt(line[:], int64(dpa)); err != nil {
+		mu := d.lineLock(dpa)
+		mu.Lock()
+		err := d.media.WriteAt(line[:], int64(dpa))
+		mu.Unlock()
+		if err != nil {
 			linePool.Put(line)
 			d.stats.Errors.Add(1)
 			resp.Opcode = RespErr
@@ -307,20 +324,21 @@ func (d *Type3Device) HandleMem(req MemReq) MemResp {
 		d.stats.Writes.Add(1)
 		resp.Opcode = RespCmp
 	case OpMemWrPtl:
-		// Read-modify-write under the byte mask.
+		// Read-modify-write under the byte mask, atomic per line.
 		line := linePool.Get().(*[LineSize]byte)
-		if err := d.media.ReadAt(line[:], int64(dpa)); err != nil {
-			linePool.Put(line)
-			d.stats.Errors.Add(1)
-			resp.Opcode = RespErr
-			return resp
-		}
-		for i := 0; i < LineSize; i++ {
-			if req.Mask&(1<<uint(i)) != 0 {
-				line[i] = req.Data[i]
+		mu := d.lineLock(dpa)
+		mu.Lock()
+		err := d.media.ReadAt(line[:], int64(dpa))
+		if err == nil {
+			for i := 0; i < LineSize; i++ {
+				if req.Mask&(1<<uint(i)) != 0 {
+					line[i] = req.Data[i]
+				}
 			}
+			err = d.media.WriteAt(line[:], int64(dpa))
 		}
-		if err := d.media.WriteAt(line[:], int64(dpa)); err != nil {
+		mu.Unlock()
+		if err != nil {
 			linePool.Put(line)
 			d.stats.Errors.Add(1)
 			resp.Opcode = RespErr

@@ -498,7 +498,7 @@ func (rp *RootPort) ringSession() (*portSession, error) {
 // interleaved channel selection real memory controllers use, and it
 // costs no shared-counter RMW on the submit path.
 func (rp *RootPort) ringFor(hpa uint64) *vcRing {
-	return &rp.rings[(hpa/uint64(LineSize*vcStride))&(NumVCs-1)]
+	return &rp.rings[(hpa/vcRunBytes)&(NumVCs-1)]
 }
 
 // syncTransact is the synchronous submit+flush+wait path with the
@@ -914,8 +914,9 @@ func (rp *RootPort) readBurstChunk(s *portSession, h *portHooks, r *vcRing, tag 
 
 // ReadAt copies len(p) bytes from HPA off. Unaligned heads/tails are
 // handled with full-line reads; the line-aligned interior streams
-// through the burst path, so bulk transfers cost O(bytes) instead of
-// O(lines × codec round trips).
+// through the burst path (fanned out across VCs when large, see bulk),
+// so bulk transfers cost O(bytes) instead of O(lines × codec round
+// trips).
 func (rp *RootPort) ReadAt(p []byte, off int64) error {
 	hpa := uint64(off)
 	// Unaligned head: one full-line read, copy the covered part.
@@ -940,7 +941,7 @@ func (rp *RootPort) ReadAt(p []byte, off int64) error {
 				return err
 			}
 			copy(p[:LineSize], line[:])
-		} else if err := rp.ReadBurst(hpa, p[:n]); err != nil {
+		} else if err := rp.bulk(OpMemRdBurst, hpa, p[:n]); err != nil {
 			return err
 		}
 		p = p[n:]
@@ -958,8 +959,9 @@ func (rp *RootPort) ReadAt(p []byte, off int64) error {
 }
 
 // WriteAt stores p at HPA off. Full interior lines stream through the
-// burst path; unaligned head/tail lines use MemWrPtl with a byte mask,
-// exactly as a write-combining host interface would.
+// burst path (fanned out across VCs when large, see bulk); unaligned
+// head/tail lines use MemWrPtl with a byte mask, exactly as a
+// write-combining host interface would.
 func (rp *RootPort) WriteAt(p []byte, off int64) error {
 	hpa := uint64(off)
 	// Unaligned head: partial write under a mask.
@@ -982,7 +984,7 @@ func (rp *RootPort) WriteAt(p []byte, off int64) error {
 			if err := rp.WriteLine(hpa, &line); err != nil {
 				return err
 			}
-		} else if err := rp.WriteBurst(hpa, p[:n]); err != nil {
+		} else if err := rp.bulk(OpMemWrBurst, hpa, p[:n]); err != nil {
 			return err
 		}
 		p = p[n:]
@@ -991,6 +993,55 @@ func (rp *RootPort) WriteAt(p []byte, off int64) error {
 	// Partial tail.
 	if len(p) > 0 {
 		if err := rp.writePartial(hpa, 0, p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// bulkPartMin is the smallest share of a bulk transfer one goroutine
+// moves: an interior shorter than two of these stays on the caller's
+// goroutine, where spawning a helper would cost more than it saves.
+const bulkPartMin = 1 << 20
+
+// bulk moves the line-aligned span p at hpa as burst transactions. A
+// span of at least 2×bulkPartMin is cut into up to min(GOMAXPROCS,
+// NumVCs) contiguous parts, each starting on its own VC, which move at
+// once: the caller runs part 0 and one helper goroutine runs each other
+// part. Every part is an ordinary fused burst transaction on its VC, so
+// flit sealing and checking, retry, hooks and telemetry are those of a
+// serial burst. On failure the lowest-address failing part's error is
+// returned — the error the serial burst would have stopped at.
+func (rp *RootPort) bulk(op MemOpcode, hpa uint64, p []byte) error {
+	k := min(len(p)/bulkPartMin, runtime.GOMAXPROCS(0), NumVCs)
+	if k < 2 {
+		return rp.syncTransact(descBurst, op, hpa, 0, nil, nil, p)
+	}
+	// Part i nominally starts i/k of the way in; its start is moved
+	// within one vcPeriod to the vcStride run ringFor maps to VC vc0+i.
+	// Parts are ≥ bulkPartMin ≫ vcPeriod, so the starts stay ordered.
+	var starts [NumVCs + 1]int
+	vc0 := hpa / vcRunBytes
+	for i := 1; i < k; i++ {
+		nominal := hpa + uint64(i*len(p)/k)
+		vc := (vc0 + uint64(i)) % NumVCs
+		starts[i] = int(nominal&^(vcPeriod-1) + vc*vcRunBytes - hpa)
+	}
+	starts[k] = len(p)
+	var errs [NumVCs]error
+	var wg sync.WaitGroup
+	wg.Add(k - 1)
+	for i := 1; i < k; i++ {
+		go func(i int) {
+			defer wg.Done()
+			part := p[starts[i]:starts[i+1]]
+			errs[i] = rp.syncTransact(descBurst, op, hpa+uint64(starts[i]), 0, nil, nil, part)
+		}(i)
+	}
+	errs[0] = rp.syncTransact(descBurst, op, hpa, 0, nil, nil, p[:starts[1]])
+	wg.Wait()
+	for _, err := range errs[:k] {
+		if err != nil {
 			return err
 		}
 	}

@@ -53,6 +53,10 @@ const (
 	// coalescing) while sustained load still spreads across all NumVCs
 	// rings.
 	vcStride = 32
+	// vcRunBytes is the HPA span one vcStride run covers; ringFor's VC
+	// choice repeats every vcPeriod bytes.
+	vcRunBytes = uint64(vcStride * LineSize)
+	vcPeriod   = NumVCs * vcRunBytes
 )
 
 // descriptor kinds.

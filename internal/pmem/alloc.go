@@ -146,9 +146,7 @@ func (h *heap) alloc(n uint64) (uint64, error) {
 	// Zero the object (allocations observe zeroed memory, as with
 	// POBJ_ALLOC + pmemobj_zalloc semantics we adopt).
 	data := best + blockHeaderSize
-	for i := data; i < best+size; i++ {
-		h.p.view[i] = 0
-	}
+	clear(h.p.view[data : best+size])
 	if err := h.p.persistRaw(int64(data), int64(size-blockHeaderSize)); err != nil {
 		return 0, err
 	}
