@@ -3,6 +3,7 @@ package cxl
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -369,16 +370,24 @@ func TestWrPtlMaskCorrectness(t *testing.T) {
 }
 
 // TestZeroAllocSteadyState is the allocation-regression guard: the
-// line and burst data paths must not allocate per operation.
+// line and burst data paths must not allocate per operation, and
+// neither must a 4 MiB WriteAt/ReadAt whose interior fans out across
+// VCs.
 func TestZeroAllocSteadyState(t *testing.T) {
-	rp, _ := burstPort(t, 1<<20)
+	withProcs(t, 4)
+	rp, _ := burstPort(t, 8<<20)
 	var line [LineSize]byte
 	buf := make([]byte, 8*LineSize)
-	// Warm up: materialise sparse-store pages and pool buffers.
+	big := make([]byte, 4<<20)
+	// Warm up: materialise sparse-store pages, pool buffers and the
+	// fan-out helpers.
 	if err := rp.WriteBurst(0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := rp.WriteLine(0, &line); err != nil {
+		t.Fatal(err)
+	}
+	if err := rp.WriteAt(big, 0); err != nil {
 		t.Fatal(err)
 	}
 	cases := map[string]func(){
@@ -387,11 +396,28 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		"WriteBurst": func() { _ = rp.WriteBurst(0, buf) },
 		"ReadBurst":  func() { _ = rp.ReadBurst(0, buf) },
 	}
+	if !raceEnabled { // sync.Pool drops Puts under the race detector
+		cases["WriteAt 4MiB"] = func() { _ = rp.WriteAt(big, 0) }
+		cases["ReadAt 4MiB"] = func() { _ = rp.ReadAt(big, 0) }
+	}
 	for name, fn := range cases {
-		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
+		if allocs := allocsPerRun(100, fn); allocs != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
 		}
 	}
+}
+
+// allocsPerRun is testing.AllocsPerRun without its GOMAXPROCS(1) pin,
+// so bulk transfers fan out while they are measured.
+func allocsPerRun(runs int, fn func()) float64 {
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64((after.Mallocs - before.Mallocs) / uint64(runs))
 }
 
 // TestBurstAgreesWithLineDecodeOnOverlap guards decoder-selection

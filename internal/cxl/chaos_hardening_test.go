@@ -31,7 +31,7 @@ func withWatchdog(t *testing.T, d time.Duration, fn func()) {
 func TestDetachCompletesPublishedDescriptors(t *testing.T) {
 	rp := ringPort(t)
 	var bufs [8][LineSize]byte
-	var tokens []*Completion
+	var tokens []Completion
 	for i := 0; i < 8; i++ {
 		c, err := rp.SubmitRead(vcBlock(i)+uint64(i*LineSize), &bufs[i])
 		if err != nil {

@@ -28,7 +28,6 @@ func evacSet(t *testing.T, ways int, granule, share uint64) (*InterleaveSet, []*
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
 	return s, devs
 }
 

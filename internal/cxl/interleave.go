@@ -2,7 +2,6 @@ package cxl
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -26,10 +25,10 @@ import (
 // target-owned lines of an interleaved window map to a contiguous DPA
 // span (see Type3Device.decodeSpan).
 //
-// Steady state allocates nothing: leg fan-out reuses pooled call frames
-// handed to persistent per-leg worker goroutines (a goroutine spawned
-// per call would heap-allocate its closure), and gather/scatter staging
-// comes from the same burst buffer pool the ports use.
+// Steady state allocates nothing: the legs move through the package's
+// fan-out engine (fanout.go), whose pooled frames go to parked helper
+// goroutines, and gather/scatter staging comes from the same burst
+// buffer pool the ports use.
 
 // MaxInterleaveWays bounds the interleave width, matching CXL 2.0's
 // 8-way root-complex interleave limit.
@@ -38,54 +37,6 @@ const MaxInterleaveWays = 8
 // DefaultInterleaveGranule is the stripe unit when the caller does not
 // choose one: 256 B, the typical CXL interleave granularity.
 const DefaultInterleaveGranule = 256
-
-// stripeJob is one leg's share of a striped transfer, handed to the
-// leg's worker goroutine. Jobs live inside pooled stripeCall frames so
-// the fan-out allocates nothing in steady state.
-type stripeJob struct {
-	set   *InterleaveSet
-	wg    *sync.WaitGroup
-	leg   int
-	write bool
-	// flush marks a doorbell job: instead of moving a span, the worker
-	// rings the leg port's doorbell so all legs flush their rings in
-	// parallel (InterleaveSet.Flush).
-	flush bool
-	hpa   uint64
-	p     []byte
-	err   error
-}
-
-// stripeCall is the reusable per-call frame: one job slot per possible
-// leg plus the completion barrier.
-type stripeCall struct {
-	wg   sync.WaitGroup
-	jobs [MaxInterleaveWays]stripeJob
-}
-
-var stripeCallPool = sync.Pool{New: func() any { return new(stripeCall) }}
-
-// legWorker drains one leg's job channel for the lifetime of the set.
-func legWorker(ch chan *stripeJob) {
-	for j := range ch {
-		runStripeJob(j)
-	}
-}
-
-// runStripeJob executes one leg's share and signals the call barrier.
-// It runs on the leg's persistent worker, or on a transient goroutine
-// when the worker is mid-job (concurrent striped calls overflow rather
-// than queue, so N callers drive a leg's port N-wide over its virtual
-// channels instead of serialising behind one worker).
-func runStripeJob(j *stripeJob) {
-	if j.flush {
-		j.set.legs()[j.leg].Flush()
-		j.err = nil
-	} else {
-		j.err = j.set.runLeg(j.leg, j.write, j.hpa, j.p)
-	}
-	j.wg.Done()
-}
 
 // InterleaveSet is a striped CXL.mem data path over N root ports: one
 // HPA window, interleaved at granule boundaries across the ports'
@@ -119,10 +70,6 @@ type InterleaveSet struct {
 	// the set runs at full width.
 	evacMu sync.Mutex
 	evac   atomic.Pointer[evacuation]
-	// workers feed legs 1..ways-1; leg 0 always runs on the caller's
-	// goroutine, so a 1-way set degenerates to the plain port path with
-	// no hand-off at all.
-	workers []chan *stripeJob
 }
 
 // legs returns the current member ports (immutable snapshot).
@@ -234,30 +181,7 @@ func NewInterleaveSetOpts(name string, opts InterleaveOptions, ports ...*RootPor
 			return nil, fmt.Errorf("cxl: %s: leg %d: %w", name, i, err)
 		}
 	}
-	for leg := 1; leg < ways; leg++ {
-		ch := make(chan *stripeJob)
-		s.workers = append(s.workers, ch)
-		go legWorker(ch)
-	}
-	// Backstop for abandoned sets (a topology torn down without Close):
-	// parked workers reference only their channel, never s, so an
-	// unreachable set finalises and the workers exit. Explicit Close
-	// remains the deterministic path and clears the finalizer.
-	if len(s.workers) > 0 {
-		runtime.SetFinalizer(s, (*InterleaveSet).Close)
-	}
 	return s, nil
-}
-
-// Close stops the leg workers (idempotent). In-flight transfers finish
-// — a worker drains its current job before seeing the closed channel —
-// but transfers issued after Close panic.
-func (s *InterleaveSet) Close() {
-	runtime.SetFinalizer(s, nil)
-	for _, ch := range s.workers {
-		close(ch)
-	}
-	s.workers = nil
 }
 
 // Name identifies the set.
@@ -328,11 +252,11 @@ func (s *InterleaveSet) ReadBurst(hpa uint64, p []byte) error {
 	return s.do(false, hpa, p)
 }
 
-// do validates the span, fans legs 1..n-1 out to their workers, runs
-// leg 0 inline and gathers the first error. A failing leg aborts its
-// own remaining chunks only; striped transfers are atomic per leg
-// burst, not across legs (matching multi-channel memory semantics —
-// see DESIGN.md §2d).
+// do validates the span and moves one part per leg through the fan-out
+// engine (leg 0 on the caller's goroutine), returning the lowest
+// failing leg's error. A failing leg aborts its own remaining chunks
+// only; striped transfers are atomic per leg burst, not across legs
+// (matching multi-channel memory semantics — see DESIGN.md §2d).
 func (s *InterleaveSet) do(write bool, hpa uint64, p []byte) error {
 	if !lineAligned(hpa) || len(p)%LineSize != 0 {
 		return portErr(s.name, s.op(write), hpa, ErrUnaligned, "unaligned burst")
@@ -344,37 +268,18 @@ func (s *InterleaveSet) do(write bool, hpa uint64, p []byte) error {
 		return nil
 	}
 	defer s.exit(s.enter())
-	ways := s.ways
-	if ways == 1 {
+	if s.ways == 1 {
 		return s.runLeg(0, write, hpa, p)
 	}
-	c := stripeCallPool.Get().(*stripeCall)
-	c.wg.Add(ways - 1)
-	for leg := 1; leg < ways; leg++ {
-		j := &c.jobs[leg]
-		j.set, j.wg, j.leg, j.write, j.hpa, j.p, j.err = s, &c.wg, leg, write, hpa, p, nil
-		select {
-		case s.workers[leg-1] <- j:
-		default:
-			// Leg worker mid-job (a concurrent striped call): overflow
-			// onto a transient goroutine so callers fan out over the
-			// port's virtual channels instead of queueing. A lone
-			// caller always finds its workers parked, keeping the
-			// steady state allocation-free.
-			go runStripeJob(j)
-		}
+	c := newFanCall()
+	for leg := range c.parts[:s.ways] {
+		c.parts[leg] = fanPart{run: runLegPart, set: s, leg: leg, write: write, hpa: hpa, p: p}
 	}
-	err := s.runLeg(0, write, hpa, p)
-	c.wg.Wait()
-	for leg := 1; leg < ways; leg++ {
-		if err == nil && c.jobs[leg].err != nil {
-			err = c.jobs[leg].err
-		}
-		c.jobs[leg].set, c.jobs[leg].p = nil, nil
-	}
-	stripeCallPool.Put(c)
-	return err
+	return c.run(s.ways)
 }
+
+// runLegPart is a striped transfer's fan-out part: one leg's share.
+func runLegPart(pt *fanPart) error { return pt.set.runLeg(pt.leg, pt.write, pt.hpa, pt.p) }
 
 func (s *InterleaveSet) op(write bool) string {
 	if write {
@@ -604,13 +509,13 @@ func (s *InterleaveSet) smallAccess(write bool, hpa uint64, p []byte) error {
 // ringing its doorbell; the set's Flush (or the token's Wait) completes
 // it. A granule mid-evacuation is serviced immediately through the
 // reroute path and returns an already-completed token.
-func (s *InterleaveSet) SubmitRead(hpa uint64, out *[LineSize]byte) (*Completion, error) {
+func (s *InterleaveSet) SubmitRead(hpa uint64, out *[LineSize]byte) (Completion, error) {
 	if !lineAligned(hpa) {
-		return nil, portErr(s.name, "MemRd", hpa, ErrUnaligned, "unaligned")
+		return Completion{}, portErr(s.name, "MemRd", hpa, ErrUnaligned, "unaligned")
 	}
 	defer s.exit(s.enter())
 	if ev := s.evac.Load(); ev != nil && s.evacOwned(ev, hpa) {
-		return immediateCompletion(OpMemRd, hpa, s.evacSmall(ev, false, hpa, out[:])), nil
+		return Completion{err: s.evacSmall(ev, false, hpa, out[:])}, nil
 	}
 	return s.Route(hpa).SubmitRead(hpa, out)
 }
@@ -618,45 +523,38 @@ func (s *InterleaveSet) SubmitRead(hpa uint64, out *[LineSize]byte) (*Completion
 // SubmitWrite enqueues a line write on the owning leg's ring without
 // ringing its doorbell; evacuating granules complete immediately, like
 // SubmitRead.
-func (s *InterleaveSet) SubmitWrite(hpa uint64, data *[LineSize]byte) (*Completion, error) {
+func (s *InterleaveSet) SubmitWrite(hpa uint64, data *[LineSize]byte) (Completion, error) {
 	if !lineAligned(hpa) {
-		return nil, portErr(s.name, "MemWr", hpa, ErrUnaligned, "unaligned")
+		return Completion{}, portErr(s.name, "MemWr", hpa, ErrUnaligned, "unaligned")
 	}
 	defer s.exit(s.enter())
 	if ev := s.evac.Load(); ev != nil && s.evacOwned(ev, hpa) {
-		return immediateCompletion(OpMemWr, hpa, s.evacSmall(ev, true, hpa, data[:])), nil
+		return Completion{err: s.evacSmall(ev, true, hpa, data[:])}, nil
 	}
 	return s.Route(hpa).SubmitWrite(hpa, data)
 }
 
-// Flush rings every leg's doorbell in parallel over the persistent leg
-// workers (leg 0 inline), so a batch submitted across the stripe
-// crosses all member links concurrently.
+// Flush rings every leg's doorbell at once through the fan-out engine
+// (leg 0 inline), so a batch submitted across the stripe crosses all
+// member links concurrently.
 func (s *InterleaveSet) Flush() {
 	defer s.exit(s.enter())
 	legs := s.legs()
-	n := len(legs)
-	if n == 1 {
+	if len(legs) == 1 {
 		legs[0].Flush()
 		return
 	}
-	c := stripeCallPool.Get().(*stripeCall)
-	c.wg.Add(n - 1)
-	for leg := 1; leg < n; leg++ {
-		j := &c.jobs[leg]
-		j.set, j.wg, j.leg, j.flush, j.err = s, &c.wg, leg, true, nil
-		select {
-		case s.workers[leg-1] <- j:
-		default:
-			go runStripeJob(j)
-		}
+	c := newFanCall()
+	for leg, rp := range legs {
+		c.parts[leg] = fanPart{run: flushPart, rp: rp}
 	}
-	legs[0].Flush()
-	c.wg.Wait()
-	for leg := 1; leg < n; leg++ {
-		c.jobs[leg].set, c.jobs[leg].flush = nil, false
-	}
-	stripeCallPool.Put(c)
+	c.run(len(legs))
+}
+
+// flushPart is a striped Flush's fan-out part: one leg's doorbell.
+func flushPart(pt *fanPart) error {
+	pt.rp.Flush()
+	return nil
 }
 
 // Harvest drains completions from the member ports' CQs, in leg order.

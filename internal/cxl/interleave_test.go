@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 )
 
 // testInterleaveSet builds a ways-wide striped path over fresh Type-3
@@ -29,7 +27,6 @@ func testInterleaveSet(t *testing.T, ways int, granule uint64) (*InterleaveSet, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
 	return s, devs
 }
 
@@ -205,7 +202,6 @@ func TestInterleaveGeometryValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	cap := uint64(16 << 20) // testMedia capacity
 	if s.Size() != 2*cap {
 		t.Errorf("mixed set size = %d, want %d", s.Size(), 2*cap)
@@ -350,8 +346,8 @@ func TestInterleaveConcurrentStripes(t *testing.T) {
 }
 
 // TestInterleaveZeroAllocSteadyState guards the striped path's
-// allocation discipline: leg fan-out (pooled call frames + persistent
-// workers) and gather/scatter staging (pooled burst buffers) must not
+// allocation discipline: leg fan-out (pooled frames handed to parked
+// helpers) and gather/scatter staging (pooled burst buffers) must not
 // allocate per operation, for both the narrow-granule gather path and
 // the wide-granule zero-copy path.
 func TestInterleaveZeroAllocSteadyState(t *testing.T) {
@@ -375,46 +371,6 @@ func TestInterleaveZeroAllocSteadyState(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestInterleaveCloseStopsWorkers pins the worker lifecycle: Close
-// (idempotent) stops the per-leg workers, so striped topologies torn
-// down deterministically leak nothing.
-func TestInterleaveCloseStopsWorkers(t *testing.T) {
-	// Wait for the goroutine count to stop moving (workers of earlier
-	// tests, closed via t.Cleanup, may still be exiting).
-	stable := func() int {
-		prev := runtime.NumGoroutine()
-		deadline := time.Now().Add(2 * time.Second)
-		for time.Now().Before(deadline) {
-			time.Sleep(5 * time.Millisecond)
-			if n := runtime.NumGoroutine(); n == prev {
-				return n
-			} else {
-				prev = n
-			}
-		}
-		return prev
-	}
-	before := stable()
-	s, _ := testInterleaveSet(t, 4, 256)
-	if err := s.WriteBurst(s.Base(), make([]byte, 4<<10)); err != nil {
-		t.Fatal(err)
-	}
-	if n := runtime.NumGoroutine(); n < before+3 {
-		t.Fatalf("expected 3 leg workers running, goroutines %d -> %d", before, n)
-	}
-	s.Close()
-	s.Close() // idempotent
-	deadline := time.Now().Add(2 * time.Second)
-	n := runtime.NumGoroutine()
-	for n > before && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-		n = runtime.NumGoroutine()
-	}
-	if n > before {
-		t.Errorf("leg workers leaked: goroutines %d -> %d after Close", before, n)
 	}
 }
 

@@ -44,9 +44,9 @@ type MemIO interface {
 	WriteAt(p []byte, off int64) error
 	// SubmitRead enqueues a line read; out must stay valid until the
 	// completion is consumed.
-	SubmitRead(hpa uint64, out *[LineSize]byte) (*Completion, error)
+	SubmitRead(hpa uint64, out *[LineSize]byte) (Completion, error)
 	// SubmitWrite enqueues a line write; data is staged at submit time.
-	SubmitWrite(hpa uint64, data *[LineSize]byte) (*Completion, error)
+	SubmitWrite(hpa uint64, data *[LineSize]byte) (Completion, error)
 	// Flush rings the doorbell: queued submissions cross the link in
 	// batched flits, one VC acquisition per ring.
 	Flush()
@@ -105,12 +105,12 @@ func (d *deviceIO) WriteBurst(hpa uint64, p []byte) error {
 func (d *deviceIO) ReadAt(p []byte, off int64) error  { return d.dev.ReadAt(p, off) }
 func (d *deviceIO) WriteAt(p []byte, off int64) error { return d.dev.WriteAt(p, off) }
 
-func (d *deviceIO) SubmitRead(hpa uint64, out *[LineSize]byte) (*Completion, error) {
-	return immediateCompletion(OpMemRd, hpa, d.ReadLine(hpa, out)), nil
+func (d *deviceIO) SubmitRead(hpa uint64, out *[LineSize]byte) (Completion, error) {
+	return Completion{err: d.ReadLine(hpa, out)}, nil
 }
 
-func (d *deviceIO) SubmitWrite(hpa uint64, data *[LineSize]byte) (*Completion, error) {
-	return immediateCompletion(OpMemWr, hpa, d.WriteLine(hpa, data)), nil
+func (d *deviceIO) SubmitWrite(hpa uint64, data *[LineSize]byte) (Completion, error) {
+	return Completion{err: d.WriteLine(hpa, data)}, nil
 }
 
 func (d *deviceIO) Flush() {}
@@ -158,11 +158,11 @@ func (w *windowIO) WriteAt(p []byte, off int64) error {
 	return w.inner.WriteAt(p, off+int64(w.base))
 }
 
-func (w *windowIO) SubmitRead(hpa uint64, out *[LineSize]byte) (*Completion, error) {
+func (w *windowIO) SubmitRead(hpa uint64, out *[LineSize]byte) (Completion, error) {
 	return w.inner.SubmitRead(w.base+hpa, out)
 }
 
-func (w *windowIO) SubmitWrite(hpa uint64, data *[LineSize]byte) (*Completion, error) {
+func (w *windowIO) SubmitWrite(hpa uint64, data *[LineSize]byte) (Completion, error) {
 	return w.inner.SubmitWrite(w.base+hpa, data)
 }
 

@@ -556,10 +556,10 @@ func (rp *RootPort) syncTransact(kind uint8, op MemOpcode, addr, mask uint64, ou
 		if data != nil {
 			d.data = *data
 		}
-		slot.comp.pos, slot.comp.tag, slot.comp.err = t, r.tagAt(t), nil
+		slot.tag, slot.err = r.tagAt(t), nil
 		slot.seq.Store(t + 1)
 		rp.flushVC(r)
-		return slot.comp.Wait()
+		return Completion{ring: r, pos: t}.Wait()
 	}
 }
 
@@ -585,16 +585,16 @@ func (rp *RootPort) moveFlit(h *portHooks, f *Flit) {
 // doorbell; the returned token completes after a Flush (or its Wait,
 // which flushes on demand). out must stay valid until the completion is
 // consumed.
-func (rp *RootPort) SubmitRead(hpa uint64, out *[LineSize]byte) (*Completion, error) {
+func (rp *RootPort) SubmitRead(hpa uint64, out *[LineSize]byte) (Completion, error) {
 	if !lineAligned(hpa) {
-		return nil, portErr(rp.name, "MemRd", hpa, ErrUnaligned, "unaligned")
+		return Completion{}, portErr(rp.name, "MemRd", hpa, ErrUnaligned, "unaligned")
 	}
 	r := rp.ringFor(hpa)
 	c, err := r.submit(descLine, false, OpMemRd, hpa, 0, out, nil, nil)
 	if err != nil {
 		rp.flushVC(r)
 		if c, err = r.submit(descLine, false, OpMemRd, hpa, 0, out, nil, nil); err != nil {
-			return nil, portErr(rp.name, "MemRd", hpa, ErrRingFull, "submission ring full")
+			return Completion{}, portErr(rp.name, "MemRd", hpa, ErrRingFull, "submission ring full")
 		}
 	}
 	return c, nil
@@ -603,16 +603,16 @@ func (rp *RootPort) SubmitRead(hpa uint64, out *[LineSize]byte) (*Completion, er
 // SubmitWrite enqueues a line write at hpa without ringing the
 // doorbell. data is staged into the descriptor at submit time, so the
 // caller's buffer may be reused immediately.
-func (rp *RootPort) SubmitWrite(hpa uint64, data *[LineSize]byte) (*Completion, error) {
+func (rp *RootPort) SubmitWrite(hpa uint64, data *[LineSize]byte) (Completion, error) {
 	if !lineAligned(hpa) {
-		return nil, portErr(rp.name, "MemWr", hpa, ErrUnaligned, "unaligned")
+		return Completion{}, portErr(rp.name, "MemWr", hpa, ErrUnaligned, "unaligned")
 	}
 	r := rp.ringFor(hpa)
 	c, err := r.submit(descLine, false, OpMemWr, hpa, 0, nil, data, nil)
 	if err != nil {
 		rp.flushVC(r)
 		if c, err = r.submit(descLine, false, OpMemWr, hpa, 0, nil, data, nil); err != nil {
-			return nil, portErr(rp.name, "MemWr", hpa, ErrRingFull, "submission ring full")
+			return Completion{}, portErr(rp.name, "MemWr", hpa, ErrRingFull, "submission ring full")
 		}
 	}
 	return c, nil
@@ -1001,15 +1001,15 @@ func (rp *RootPort) WriteAt(p []byte, off int64) error {
 
 // bulkPartMin is the smallest share of a bulk transfer one goroutine
 // moves: an interior shorter than two of these stays on the caller's
-// goroutine, where spawning a helper would cost more than it saves.
+// goroutine, where a hand-off would cost more than it saves.
 const bulkPartMin = 1 << 20
 
 // bulk moves the line-aligned span p at hpa as burst transactions. A
 // span of at least 2×bulkPartMin is cut into up to min(GOMAXPROCS,
 // NumVCs) contiguous parts, each starting on its own VC, which move at
-// once: the caller runs part 0 and one helper goroutine runs each other
-// part. Every part is an ordinary fused burst transaction on its VC, so
-// flit sealing and checking, retry, hooks and telemetry are those of a
+// once through the fan-out engine (part 0 on the caller's goroutine).
+// Every part is an ordinary fused burst transaction on its VC, so flit
+// sealing and checking, retry, hooks and telemetry are those of a
 // serial burst. On failure the lowest-address failing part's error is
 // returned — the error the serial burst would have stopped at.
 func (rp *RootPort) bulk(op MemOpcode, hpa uint64, p []byte) error {
@@ -1028,22 +1028,19 @@ func (rp *RootPort) bulk(op MemOpcode, hpa uint64, p []byte) error {
 		starts[i] = int(nominal&^(vcPeriod-1) + vc*vcRunBytes - hpa)
 	}
 	starts[k] = len(p)
-	var errs [NumVCs]error
-	var wg sync.WaitGroup
-	wg.Add(k - 1)
-	for i := 1; i < k; i++ {
-		go func(i int) {
-			defer wg.Done()
-			part := p[starts[i]:starts[i+1]]
-			errs[i] = rp.syncTransact(descBurst, op, hpa+uint64(starts[i]), 0, nil, nil, part)
-		}(i)
+	c := newFanCall()
+	for i := range c.parts[:k] {
+		c.parts[i] = fanPart{run: bulkPart, rp: rp, write: op == OpMemWrBurst,
+			hpa: hpa + uint64(starts[i]), p: p[starts[i]:starts[i+1]]}
 	}
-	errs[0] = rp.syncTransact(descBurst, op, hpa, 0, nil, nil, p[:starts[1]])
-	wg.Wait()
-	for _, err := range errs[:k] {
-		if err != nil {
-			return err
-		}
+	return c.run(k)
+}
+
+// bulkPart is a bulk transfer's fan-out part: one VC's contiguous share.
+func bulkPart(pt *fanPart) error {
+	op := OpMemRdBurst
+	if pt.write {
+		op = OpMemWrBurst
 	}
-	return nil
+	return pt.rp.syncTransact(descBurst, op, pt.hpa, 0, nil, nil, pt.p)
 }

@@ -30,6 +30,7 @@ import (
 //	seq == pos            free: a producer may claim position pos
 //	seq == pos+1          published: descriptor written, awaiting flush
 //	seq == pos+2          done: completion filled in, awaiting consumption
+//	seq == pos+3          held: a waiter is reading the outcome
 //	seq == pos+RingSlots  consumed: free for the next lap's producer
 //
 // Head (flushHead) and tail are published with atomics; flushers claim
@@ -57,6 +58,9 @@ const (
 	// choice repeats every vcPeriod bytes.
 	vcRunBytes = uint64(vcStride * LineSize)
 	vcPeriod   = NumVCs * vcRunBytes
+	// slotHeld is the seq offset of a slot whose waiter is reading its
+	// outcome (see sqSlot.claim).
+	slotHeld = 3
 )
 
 // descriptor kinds.
@@ -81,44 +85,32 @@ type ringDesc struct {
 	data [LineSize]byte  // MemWr/MemWrPtl payload, staged at submit
 }
 
-// Completion is a pooled completion token: submission returns one, and
-// the caller consumes it exactly once — Wait, or implicitly by draining
-// it with Harvest (then Wait must not be called). Tokens live in the
-// ring's fixed slot pool; consuming one recycles its slot, so the
-// steady state allocates nothing.
+// Completion is a completion token: submission returns one, and the
+// descriptor's outcome is consumed exactly once — by the token's Wait
+// or by a Harvest that drains it first. The token is a handle, not a
+// pointer into the ring: it names its descriptor by (VC ring, ring
+// position), the way NVMe matches a completion by (SQID, CID), so a
+// slot recycled for a later lap can never be mistaken for it. Tokens
+// are values, so the steady state allocates nothing.
 type Completion struct {
-	ring *vcRing // nil for immediately-completed (adapter) tokens
+	ring *vcRing // nil when the data path completed at submit time
 	pos  uint64
 	tag  uint16
-	err  error
+	err  error // outcome when ring is nil (DeviceIO, evacuation reroutes)
 }
 
 // Tag returns the wire tag the descriptor carried.
-func (c *Completion) Tag() uint16 { return c.tag }
-
-// immediatePool feeds tokens for data paths that complete at submit
-// time (DeviceIO, evacuation reroutes): no ring is involved, Wait just
-// reports the stored error and recycles the token.
-var immediatePool = sync.Pool{New: func() any { return new(Completion) }}
-
-func immediateCompletion(op MemOpcode, addr uint64, err error) *Completion {
-	_ = op // the token carries only its outcome; op/addr context is in err
-	_ = addr
-	c := immediatePool.Get().(*Completion)
-	c.ring, c.pos, c.tag, c.err = nil, 0, 0, err
-	return c
-}
+func (c Completion) Tag() uint16 { return c.tag }
 
 // Wait blocks until the descriptor completes (flushing its ring if
 // nobody else has rung the doorbell yet) and returns the transaction's
-// error. It consumes the token: the caller must not touch it again.
-func (c *Completion) Wait() error {
+// error. If a concurrent Harvest drained the completion first, the
+// outcome went to that Harvest and Wait returns nil once the
+// descriptor is done.
+func (c Completion) Wait() error {
 	r := c.ring
 	if r == nil {
-		err := c.err
-		c.err = nil
-		immediatePool.Put(c)
-		return err
+		return c.err
 	}
 	slot := &r.slots[c.pos&ringMask]
 	if slot.seq.Load() < c.pos+2 {
@@ -127,8 +119,7 @@ func (c *Completion) Wait() error {
 			runtime.Gosched()
 		}
 	}
-	err := c.err
-	slot.seq.CompareAndSwap(c.pos+2, c.pos+RingSlots)
+	_, err := slot.claim(c.pos)
 	return err
 }
 
@@ -139,7 +130,7 @@ func (c *Completion) Wait() error {
 // completion is discarded (it never surfaces through Harvest either);
 // the caller decides whether to requeue the operation or fail. A
 // non-positive d degenerates to Wait.
-func (c *Completion) WaitTimeout(d time.Duration) error {
+func (c Completion) WaitTimeout(d time.Duration) error {
 	r := c.ring
 	if r == nil || d <= 0 {
 		return c.Wait()
@@ -155,24 +146,23 @@ func (c *Completion) WaitTimeout(d time.Duration) error {
 			runtime.Gosched()
 		}
 	}
-	err := c.err
-	slot.seq.CompareAndSwap(c.pos+2, c.pos+RingSlots)
+	_, err := slot.claim(c.pos)
 	return err
 }
 
 // abandon marks the slot so its completer self-consumes it, then
 // double-checks for a completion that raced the deadline — if one
 // landed, it is claimed as a normal wait would.
-func (c *Completion) abandon(slot *sqSlot) error {
+func (c Completion) abandon(slot *sqSlot) error {
 	slot.abandoned.Store(c.pos + 1)
 	if slot.seq.Load() >= c.pos+2 {
-		if slot.seq.CompareAndSwap(c.pos+2, c.pos+RingSlots) {
-			slot.abandoned.CompareAndSwap(c.pos+1, 0)
-			return c.err
-		}
-		// Someone else consumed it (the completer's abandoned sweep);
-		// clear our mark if it is still ours.
+		ok, err := slot.claim(c.pos)
+		// Clear our mark if it is still ours (the completer's abandoned
+		// sweep may have consumed the slot first).
 		slot.abandoned.CompareAndSwap(c.pos+1, 0)
+		if ok {
+			return err
+		}
 	}
 	rp := c.ring.rp
 	rp.timeouts.Add(1)
@@ -198,8 +188,8 @@ type cqRec struct {
 	pos uint64
 }
 
-// sqSlot is one SQ ring slot: the descriptor, its embedded completion
-// token, and the position-based state word. abandoned carries pos+1
+// sqSlot is one SQ ring slot: the descriptor, its wire tag and
+// outcome, and the position-based state word. abandoned carries pos+1
 // when the waiter for that position gave up (WaitTimeout); the
 // completer consumes such a slot itself so the ring never wedges on a
 // departed waiter. The value is generation-tagged (not a bool) so a
@@ -207,8 +197,23 @@ type cqRec struct {
 type sqSlot struct {
 	seq       atomic.Uint64
 	abandoned atomic.Uint64
-	comp      Completion
+	tag       uint16
+	err       error
 	desc      ringDesc
+}
+
+// claim consumes the done slot at position pos for its token's waiter.
+// The slot first moves to a held state that Harvest cannot take and
+// submit cannot reuse, so the outcome is read before the slot is freed
+// for the next lap. ok is false when Harvest (or the abandoned-slot
+// sweep) consumed the completion first.
+func (slot *sqSlot) claim(pos uint64) (ok bool, err error) {
+	if !slot.seq.CompareAndSwap(pos+2, pos+slotHeld) {
+		return false, nil
+	}
+	err = slot.err
+	slot.seq.Store(pos + RingSlots)
+	return true, err
 }
 
 // vcRing is one virtual channel's SQ/CQ pair plus its per-VC counters
@@ -248,7 +253,6 @@ func (r *vcRing) init(rp *RootPort, idx int) {
 	r.idx = uint32(idx)
 	for i := range r.slots {
 		r.slots[i].seq.Store(uint64(i))
-		r.slots[i].comp.ring = r
 	}
 }
 
@@ -262,7 +266,7 @@ func (r *vcRing) tagAt(pos uint64) uint16 {
 
 // submit claims one SQ slot and publishes the descriptor. errRingFull
 // (unwrapped) reports a full ring; callers wrap or flush-and-retry.
-func (r *vcRing) submit(kind uint8, noCQ bool, op MemOpcode, addr, mask uint64, out *[LineSize]byte, data *[LineSize]byte, p []byte) (*Completion, error) {
+func (r *vcRing) submit(kind uint8, noCQ bool, op MemOpcode, addr, mask uint64, out *[LineSize]byte, data *[LineSize]byte, p []byte) (Completion, error) {
 	for {
 		t := r.tail.Load()
 		slot := &r.slots[t&ringMask]
@@ -271,7 +275,7 @@ func (r *vcRing) submit(kind uint8, noCQ bool, op MemOpcode, addr, mask uint64, 
 			if seq < t {
 				// The slot's previous-lap occupant has not been consumed:
 				// the ring is full.
-				return nil, ErrRingFull
+				return Completion{}, ErrRingFull
 			}
 			continue // tail moved under us; reload
 		}
@@ -283,9 +287,10 @@ func (r *vcRing) submit(kind uint8, noCQ bool, op MemOpcode, addr, mask uint64, 
 		if data != nil {
 			d.data = *data
 		}
-		slot.comp.pos, slot.comp.tag, slot.comp.err = t, r.tagAt(t), nil
+		tag := r.tagAt(t)
+		slot.tag, slot.err = tag, nil
 		slot.seq.Store(t + 1)
-		return &slot.comp, nil
+		return Completion{ring: r, pos: t, tag: tag}, nil
 	}
 }
 
@@ -295,7 +300,7 @@ func (r *vcRing) submit(kind uint8, noCQ bool, op MemOpcode, addr, mask uint64, 
 // (WaitTimeout expired) is consumed on the spot: the waiter is gone,
 // and its stale CQ record, if any, will be skipped by Harvest.
 func (r *vcRing) complete(slot *sqSlot, pos uint64, err error) {
-	slot.comp.err = err
+	slot.err = err
 	slot.seq.Store(pos + 2)
 	if slot.abandoned.Load() == pos+1 && slot.seq.CompareAndSwap(pos+2, pos+RingSlots) {
 		slot.abandoned.CompareAndSwap(pos+1, 0)
@@ -334,7 +339,7 @@ func (r *vcRing) finish(slot *sqSlot, pos uint64, err error) {
 		r.complete(slot, pos, err)
 		return
 	}
-	rec := cqRec{c: Completed{Tag: slot.comp.tag, Op: slot.desc.op, Addr: slot.desc.addr, Err: err}, pos: pos}
+	rec := cqRec{c: Completed{Tag: slot.tag, Op: slot.desc.op, Addr: slot.desc.addr, Err: err}, pos: pos}
 	r.complete(slot, pos, err)
 	r.postLocked([]cqRec{rec})
 }
@@ -422,9 +427,9 @@ func (rp *RootPort) processSpan(r *vcRing, h, t uint64) {
 		case serr != nil:
 			r.finish(slot, h, portErr(rp.name, d.op.String(), d.addr, serr, serr.Error()))
 		case d.kind == descBurst:
-			r.finish(slot, h, rp.ringBurst(s, hk, r, d, slot.comp.tag))
+			r.finish(slot, h, rp.ringBurst(s, hk, r, d, slot.tag))
 		default:
-			r.finish(slot, h, rp.processSingle(r, slot, h, s, hk, slot.comp.tag))
+			r.finish(slot, h, rp.processSingle(r, slot, h, s, hk, slot.tag))
 		}
 		return
 	}
@@ -448,7 +453,7 @@ func (rp *RootPort) processSpan(r *vcRing, h, t uint64) {
 				rp.runLineBatch(r, s, hk, sc, n)
 				n = 0
 			}
-			r.finish(slot, pos, rp.ringBurst(s, hk, r, d, slot.comp.tag))
+			r.finish(slot, pos, rp.ringBurst(s, hk, r, d, slot.tag))
 			continue
 		}
 		sc.pos[n] = pos
@@ -501,7 +506,7 @@ func (rp *RootPort) runLineBatch(r *vcRing, s *portSession, hk *portHooks, sc *f
 		sc.errs[i] = nil
 		switch d.op {
 		case OpMemRd, OpMemInv:
-			sc.sqes[pk] = SQE{Op: d.op, Tag: slot.comp.tag, Addr: d.addr}
+			sc.sqes[pk] = SQE{Op: d.op, Tag: slot.tag, Addr: d.addr}
 			sc.sqIdx[pk] = i
 			pk++
 			if pk == SQEntriesPerFlit {
@@ -509,7 +514,7 @@ func (rp *RootPort) runLineBatch(r *vcRing, s *portSession, hk *portHooks, sc *f
 			}
 		default: // OpMemWr, OpMemWrPtl: payload rides a full request flit.
 			flushPack()
-			if err := rp.moveReq(s, hk, r, &f, d, slot.comp.tag, &sc.reqs[i]); err != nil {
+			if err := rp.moveReq(s, hk, r, &f, d, slot.tag, &sc.reqs[i]); err != nil {
 				sc.errs[i] = portErr(rp.name, d.op.String(), d.addr, ErrUncorrectable, "uncorrectable link error: "+err.Error())
 				nErr++
 			}
@@ -535,7 +540,7 @@ func (rp *RootPort) runLineBatch(r *vcRing, s *portSession, hk *portHooks, sc *f
 		pos := sc.pos[i]
 		slot := sc.slotp[i]
 		if !slot.desc.noCQ {
-			sc.post[postN] = cqRec{c: Completed{Tag: slot.comp.tag, Op: slot.desc.op, Addr: slot.desc.addr, Err: err}, pos: pos}
+			sc.post[postN] = cqRec{c: Completed{Tag: slot.tag, Op: slot.desc.op, Addr: slot.desc.addr, Err: err}, pos: pos}
 			postN++
 		}
 		r.complete(slot, pos, err)
@@ -555,7 +560,7 @@ func (rp *RootPort) runLineBatch(r *vcRing, s *portSession, hk *portHooks, sc *f
 				continue
 			}
 			e := &sc.decCQ[j]
-			if e.Tag != slot.comp.tag {
+			if e.Tag != slot.tag {
 				done(i, portErr(rp.name, d.op.String(), d.addr, ErrTagMismatch, "completion tag mismatch"))
 				continue
 			}
@@ -585,7 +590,7 @@ func (rp *RootPort) runLineBatch(r *vcRing, s *portSession, hk *portHooks, sc *f
 			// Read data returns in its own flit, decoded straight into
 			// the caller's buffer.
 			flushCQ()
-			done(i, rp.moveRData(s, hk, r, &f, slot.comp.tag, uint32(sc.pos[i]), &resp.Data, d.out))
+			done(i, rp.moveRData(s, hk, r, &f, slot.tag, uint32(sc.pos[i]), &resp.Data, d.out))
 			continue
 		}
 		sc.cqes[pk] = CQE{Status: resp.Opcode, Tag: resp.Tag, Addr: d.addr}

@@ -90,7 +90,7 @@ func TestRingOutOfOrderDelivery(t *testing.T) {
 	// index order, so delivery cannot match submission order.
 	order := []int{3, 1, 2, 0}
 	want := make(map[uint16]bool)
-	var tokens []*Completion
+	var tokens []Completion
 	var submitted []uint16
 	for _, vc := range order {
 		for j := 0; j < 4; j++ {
@@ -151,7 +151,7 @@ func reqFlitTag(f *Flit) (uint16, bool) {
 func TestRingFaultRetriesOnlyFailedDescriptor(t *testing.T) {
 	rp := ringPort(t)
 	const batch = 8
-	var tokens []*Completion
+	var tokens []Completion
 	var lines [batch][LineSize]byte
 	for j := range lines {
 		for b := range lines[j] {
@@ -203,7 +203,7 @@ func TestRingPersistentFaultFailsOnlyDescriptorK(t *testing.T) {
 	rp := ringPort(t)
 	const batch = 6
 	var line [LineSize]byte
-	var tokens []*Completion
+	var tokens []Completion
 	for j := 0; j < batch; j++ {
 		c, err := rp.SubmitWrite(vcBlock(0)+uint64(j*LineSize), &line)
 		if err != nil {
@@ -302,7 +302,7 @@ func TestRingConcurrentSubmittersOneVC(t *testing.T) {
 			line[0] = byte(w + 1)
 			addr := vcBlock(0) + uint64(w*LineSize) // distinct line, same VC
 			for i := 0; i < iters; i++ {
-				var c *Completion
+				var c Completion
 				var err error
 				for {
 					c, err = rp.SubmitWrite(addr, &line)

@@ -384,9 +384,6 @@ func TestInterleaveScalingCurve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n2, err := m.Node(2); err == nil && n2.Stripe != nil {
-			t.Cleanup(n2.Stripe.Close)
-		}
 		e := New(m)
 		cores := socketCores(t, e, 0, 10)
 		r := run(t, e, cores, 2, mixCopy, MemoryMode)
@@ -425,9 +422,6 @@ func TestInterleaveScalingCurve(t *testing.T) {
 	m4, _, err := topology.Setup1(topology.Setup1Options{InterleaveWays: 4})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if n2, err := m4.Node(2); err == nil && n2.Stripe != nil {
-		t.Cleanup(n2.Stripe.Close)
 	}
 	c0, _ := m1.Core(0)
 	l1, err := m1.AccessLatency(c0, 2)

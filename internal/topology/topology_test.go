@@ -293,9 +293,6 @@ func TestSetup1Interleaved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n2.Stripe != nil {
-		t.Cleanup(n2.Stripe.Close)
-	}
 	if n2.InterleaveWays != 4 || n2.Stripe == nil || len(n2.Ports) != 4 {
 		t.Fatalf("striped node shape: ways=%d stripe=%v ports=%d", n2.InterleaveWays, n2.Stripe, len(n2.Ports))
 	}

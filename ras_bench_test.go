@@ -15,7 +15,6 @@ import (
 // imposed, the ISSUE's bounded-p99 acceptance in benchstat form.
 func BenchmarkEvacuation(b *testing.B) {
 	s, _ := rasMatrixSet(b)
-	defer s.Close()
 
 	seed := make([]byte, rasWays*rasShare)
 	for i := range seed {

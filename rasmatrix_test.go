@@ -134,7 +134,6 @@ func TestRASMatrixFaultAtEveryPhase(t *testing.T) {
 
 func runRASMatrixCut(t *testing.T, cut int) {
 	s, legs := rasMatrixSet(t)
-	defer s.Close()
 	repl := rasMatrixLeg(t, "ras-repl")
 
 	mbox, err := cxl.NewMailbox(legs[rasVictim].dev, "ras-fw1")
