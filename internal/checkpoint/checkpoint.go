@@ -206,16 +206,8 @@ func (m *Manager) Save(id uint64, prev uint64, data []byte) error {
 				continue
 			}
 		}
-		oid, err := m.pool.Alloc(uint64(hi - lo))
+		oid, err := m.pool.AllocFrom(data[lo:hi])
 		if err != nil {
-			return err
-		}
-		v, err := m.pool.View(oid, uint64(hi-lo))
-		if err != nil {
-			return err
-		}
-		copy(v, data[lo:hi])
-		if err := m.pool.Persist(oid, uint64(hi-lo)); err != nil {
 			return err
 		}
 		refs[c] = chunkRef{off: oid.Off, crc: crc}
@@ -224,22 +216,15 @@ func (m *Manager) Save(id uint64, prev uint64, data []byte) error {
 	m.lastReused = reused
 
 	// Descriptor object.
-	descSize := uint64(descHeader + nChunks*descEntry)
-	desc, err := m.pool.Alloc(descSize)
-	if err != nil {
-		return err
-	}
-	db, err := m.pool.View(desc, descSize)
-	if err != nil {
-		return err
-	}
+	db := make([]byte, descHeader+nChunks*descEntry)
 	binary.LittleEndian.PutUint64(db[0:], uint64(nChunks))
 	for c, r := range refs {
 		e := descHeader + c*descEntry
 		binary.LittleEndian.PutUint64(db[e:], r.off)
 		binary.LittleEndian.PutUint32(db[e+8:], r.crc)
 	}
-	if err := m.pool.Persist(desc, descSize); err != nil {
+	desc, err := m.pool.AllocFrom(db)
+	if err != nil {
 		return err
 	}
 	m.pool.Drain()

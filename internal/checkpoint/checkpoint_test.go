@@ -9,10 +9,14 @@ import (
 	"cxlpmem/internal/pmem"
 )
 
-// memRegion is a persistent in-memory pmem.Region.
+// memRegion is a persistent in-memory pmem.Region. It counts media
+// writes; when limit is non-zero, writes after the first limit are
+// dropped, as if power failed at that point.
 type memRegion struct {
-	mu   sync.Mutex
-	data []byte
+	mu     sync.Mutex
+	data   []byte
+	writes int
+	limit  int
 }
 
 func (r *memRegion) ReadAt(p []byte, off int64) error {
@@ -30,6 +34,10 @@ func (r *memRegion) WriteAt(p []byte, off int64) error {
 	defer r.mu.Unlock()
 	if off < 0 || off+int64(len(p)) > int64(len(r.data)) {
 		return errors.New("out of range")
+	}
+	r.writes++
+	if r.limit > 0 && r.writes > r.limit {
+		return nil // power was already lost; the store never reached media
 	}
 	copy(r.data[off:], p)
 	return nil
@@ -256,5 +264,130 @@ func TestCorruptChunkDetected(t *testing.T) {
 	v[0] ^= 0xFF
 	if _, err := m.Load(1); err == nil {
 		t.Error("corrupt chunk passed CRC")
+	}
+}
+
+// Crash sweep: power fails after every media write of one incremental
+// Save, and again after every media write of the Delete that follows.
+// After each crash the pool is reopened and must pass Check, Latest must
+// be the last published snapshot byte for byte, and the pool must still
+// take a new Save.
+func TestCrashSweepSaveAndDelete(t *testing.T) {
+	s1 := pattern(16*ChunkSize+100, 1)
+	s2 := append([]byte(nil), s1...)
+	for _, c := range []int{1, 5, 9, 13, 16} { // a quarter of the chunks and the short tail
+		s2[c*ChunkSize] ^= 0xFF
+	}
+	s3 := append([]byte(nil), s2...)
+	s3[0] ^= 0xFF
+	states := map[uint64][]byte{1: s1, 2: s2}
+
+	// history replays the same writes up to the point under test:
+	// snapshot 1, then (when withSave2) the incremental snapshot 2.
+	history := func(withSave2 bool) (*Manager, *pmem.Pool, *memRegion) {
+		t.Helper()
+		r := &memRegion{data: make([]byte, 2<<20)}
+		pool, err := pmem.Create(r, Layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := New(pool, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Save(1, 0, s1); err != nil {
+			t.Fatal(err)
+		}
+		if withSave2 {
+			if err := m.Save(2, 1, s2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m, pool, r
+	}
+	// recoverAt crashes the pool, reopens the region and checks the
+	// invariants; it returns the recovered manager and its Latest id.
+	recoverAt := func(what string, k int, pool *pmem.Pool, r *memRegion) (*Manager, uint64) {
+		t.Helper()
+		pool.SimulateCrash()
+		r.limit = 0
+		p2, err := pmem.Open(r, Layout)
+		if err != nil {
+			t.Fatalf("%s, crash after write %d: reopen: %v", what, k, err)
+		}
+		if _, err := p2.Check(); err != nil {
+			t.Fatalf("%s, crash after write %d: %v", what, k, err)
+		}
+		m2, err := Open(p2)
+		if err != nil {
+			t.Fatalf("%s, crash after write %d: %v", what, k, err)
+		}
+		id, data, err := m2.Latest()
+		if err != nil || states[id] == nil || !bytes.Equal(data, states[id]) {
+			t.Fatalf("%s, crash after write %d: Latest = %d, %v, or its bytes differ from the saved state", what, k, id, err)
+		}
+		if err := m2.Save(3, id, s3); err != nil {
+			t.Fatalf("%s, crash after write %d: Save after recovery: %v", what, k, err)
+		}
+		if got, err := m2.Load(3); err != nil || !bytes.Equal(got, s3) {
+			t.Fatalf("%s, crash after write %d: snapshot saved after recovery reads back wrong: %v", what, k, err)
+		}
+		return m2, id
+	}
+
+	// Control runs count the writes of each step.
+	_, _, r := history(false)
+	beforeSave := r.writes
+	_, _, r = history(true)
+	beforeDelete := r.writes
+	m, _, r := history(true)
+	if err := m.Delete(1); err != nil {
+		t.Fatal(err)
+	}
+	saveWrites, deleteWrites := beforeDelete-beforeSave, r.writes-beforeDelete
+	if saveWrites < 2 || deleteWrites < 2 {
+		t.Fatalf("Save made %d writes and Delete %d; the sweep needs several", saveWrites, deleteWrites)
+	}
+
+	published := false
+	for k := 0; k <= saveWrites; k++ {
+		m, pool, r := history(false)
+		r.limit = beforeSave + k
+		_ = m.Save(2, 1, s2) // writes past the limit look successful
+		_, id := recoverAt("Save", k, pool, r)
+		switch {
+		case k == 0 && id != 1:
+			t.Fatalf("Save, crash before any write: Latest = %d, want 1", id)
+		case k == saveWrites && id != 2:
+			t.Fatalf("Save, crash after every write: Latest = %d, want 2", id)
+		case published && id != 2:
+			t.Fatalf("Save, crash after write %d: snapshot 2 published at an earlier cut is gone", k)
+		}
+		published = id == 2
+	}
+
+	deleted := false
+	for k := 0; k <= deleteWrites; k++ {
+		m, pool, r := history(true)
+		r.limit = beforeDelete + k
+		_ = m.Delete(1)
+		m2, id := recoverAt("Delete", k, pool, r)
+		if id != 2 {
+			t.Fatalf("Delete, crash after write %d: Latest = %d, want 2", k, id)
+		}
+		// Snapshot 1 is either still whole or gone, and once gone at
+		// one cut it stays gone at every later one.
+		got, err := m2.Load(1)
+		switch {
+		case err == nil && !bytes.Equal(got, s1):
+			t.Fatalf("Delete, crash after write %d: snapshot 1 still listed but damaged", k)
+		case err == nil && deleted:
+			t.Fatalf("Delete, crash after write %d: snapshot 1 reappeared", k)
+		case err != nil && k == 0:
+			t.Fatalf("Delete, crash before any write: snapshot 1 lost: %v", err)
+		case err == nil && k == deleteWrites:
+			t.Fatal("Delete, crash after every write: snapshot 1 still listed")
+		}
+		deleted = err != nil
 	}
 }

@@ -1,8 +1,10 @@
 package pmem
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Persistent heap. Objects are carved from the region after the undo
@@ -47,11 +49,18 @@ type heap struct {
 	start uint64 // first block header offset
 	end   uint64 // one past the heap
 
-	freeIdx map[uint64]uint64 // header offset -> block size (volatile index)
+	// freeIdx lists the free blocks in ascending offset order (volatile
+	// index, rebuilt on open). Offset order makes the first entry that
+	// fits the lowest-addressed fit, so allocation is a short scan and
+	// free finds its place by binary search.
+	freeIdx []freeBlock
 }
 
+// freeBlock is one free-index entry: a block's header offset and size.
+type freeBlock struct{ off, size uint64 }
+
 func newHeap(p *Pool, heapOff, poolSize uint64) *heap {
-	return &heap{p: p, start: heapOff, end: poolSize, freeIdx: make(map[uint64]uint64)}
+	return &heap{p: p, start: heapOff, end: poolSize}
 }
 
 // format writes a single free block covering the whole heap.
@@ -63,13 +72,14 @@ func (h *heap) format() error {
 	if err := h.p.persistRaw(int64(h.start), blockHeaderSize); err != nil {
 		return err
 	}
-	h.freeIdx[h.start] = h.end - h.start
+	h.freeIdx = []freeBlock{{h.start, h.end - h.start}}
 	return nil
 }
 
-// rebuild reconstructs the volatile free index by walking the chain.
+// rebuild reconstructs the volatile free index by walking the chain;
+// the walk visits blocks in offset order, so appending keeps it sorted.
 func (h *heap) rebuild() error {
-	h.freeIdx = make(map[uint64]uint64)
+	h.freeIdx = h.freeIdx[:0]
 	off := h.start
 	for off < h.end {
 		magic, size, flags, _ := h.readHeader(off)
@@ -77,7 +87,7 @@ func (h *heap) rebuild() error {
 			return &PoolError{Op: "rebuild", Layout: h.p.layout, Why: fmt.Sprintf("corrupt block header at %#x", off)}
 		}
 		if flags&flagAllocated == 0 {
-			h.freeIdx[off] = size
+			h.freeIdx = append(h.freeIdx, freeBlock{off, size})
 		}
 		off += size
 	}
@@ -89,9 +99,7 @@ func (h *heap) rebuild() error {
 
 func (h *heap) writeHeader(off, size, flags, user uint64) {
 	b := h.p.view[off : off+blockHeaderSize]
-	for i := range b {
-		b[i] = 0
-	}
+	clear(b)
 	binary.LittleEndian.PutUint32(b[bhMagic:], blockMagic)
 	binary.LittleEndian.PutUint64(b[bhSize:], size)
 	binary.LittleEndian.PutUint64(b[bhFlags:], flags)
@@ -106,26 +114,22 @@ func (h *heap) readHeader(off uint64) (magic uint32, size, flags, user uint64) {
 		binary.LittleEndian.Uint64(b[bhUser:])
 }
 
-// alloc returns the data offset of a zeroed n-byte object.
-func (h *heap) alloc(n uint64) (uint64, error) {
+// alloc returns the data offset of an n-byte object holding data
+// (len(data) <= n), zero-padded to the block's end: a nil data gives
+// a zeroed object, as with the pmemobj_zalloc semantics we adopt.
+func (h *heap) alloc(n uint64, data []byte) (uint64, error) {
 	need := alignUp64(n, 64) + blockHeaderSize
-	// First fit over the volatile index; deterministic order matters
-	// for reproducibility, so scan ascending.
-	var best uint64
-	found := false
-	for off := range h.freeIdx {
-		if h.freeIdx[off] >= need && (!found || off < best) {
-			best = off
-			found = true
-		}
+	// First fit: the lowest-addressed free block that is large enough,
+	// which keeps the layout deterministic.
+	i := 0
+	for i < len(h.freeIdx) && h.freeIdx[i].size < need {
+		i++
 	}
-	if !found {
+	if i == len(h.freeIdx) {
 		return 0, &PoolError{Op: "alloc", Layout: h.p.layout, Why: fmt.Sprintf("out of space for %d bytes", n)}
 	}
-	size := h.freeIdx[best]
-	delete(h.freeIdx, best)
-	remainder := size - need
-	if remainder >= minSplit {
+	best, size := h.freeIdx[i].off, h.freeIdx[i].size
+	if remainder := size - need; remainder >= minSplit {
 		// Split: write the tail free block first, then shrink this
 		// block — ordering keeps the walk consistent at any crash
 		// point (a crash after the first persist shows a shrunken
@@ -134,23 +138,25 @@ func (h *heap) alloc(n uint64) (uint64, error) {
 		tail := best + need
 		h.writeHeader(tail, remainder, 0, 0)
 		if err := h.p.persistRaw(int64(tail), blockHeaderSize); err != nil {
+			h.freeIdx = slices.Delete(h.freeIdx, i, i+1)
 			return 0, err
 		}
-		h.freeIdx[tail] = remainder
+		h.freeIdx[i] = freeBlock{tail, remainder} // still in offset order
 		size = need
+	} else {
+		h.freeIdx = slices.Delete(h.freeIdx, i, i+1)
 	}
+	// Header and body reach the media in one write. A crash that tears
+	// it leaves either a free block (header not yet written) or an
+	// allocated block the caller never saw — the one-block leak the
+	// comment at the top of this file accepts.
 	h.writeHeader(best, size, flagAllocated, n)
-	if err := h.p.persistRaw(int64(best), blockHeaderSize); err != nil {
+	body := h.p.view[best+blockHeaderSize : best+size]
+	clear(body[copy(body, data):])
+	if err := h.p.persistRaw(int64(best), int64(size)); err != nil {
 		return 0, err
 	}
-	// Zero the object (allocations observe zeroed memory, as with
-	// POBJ_ALLOC + pmemobj_zalloc semantics we adopt).
-	data := best + blockHeaderSize
-	clear(h.p.view[data : best+size])
-	if err := h.p.persistRaw(int64(data), int64(size-blockHeaderSize)); err != nil {
-		return 0, err
-	}
-	return data, nil
+	return best + blockHeaderSize, nil
 }
 
 // free releases the block whose data starts at dataOff, coalescing with
@@ -164,20 +170,22 @@ func (h *heap) free(dataOff uint64) error {
 	if flags&flagAllocated == 0 {
 		return &PoolError{Op: "free", Layout: h.p.layout, Why: fmt.Sprintf("double free at %#x", dataOff)}
 	}
-	// Forward coalesce.
-	next := off + size
-	if next < h.end {
-		nm, nsize, nflags, _ := h.readHeader(next)
-		if nm == blockMagic && nflags&flagAllocated == 0 {
-			delete(h.freeIdx, next)
-			size += nsize
-		}
+	// i is where off belongs in the index; the free block right after
+	// this one, if any, is the entry already there.
+	i, _ := slices.BinarySearchFunc(h.freeIdx, off, func(b freeBlock, off uint64) int { return cmp.Compare(b.off, off) })
+	merge := i < len(h.freeIdx) && h.freeIdx[i].off == off+size
+	if merge {
+		size += h.freeIdx[i].size
 	}
 	h.writeHeader(off, size, 0, 0)
 	if err := h.p.persistRaw(int64(off), blockHeaderSize); err != nil {
 		return err
 	}
-	h.freeIdx[off] = size
+	if merge {
+		h.freeIdx[i] = freeBlock{off, size}
+	} else {
+		h.freeIdx = slices.Insert(h.freeIdx, i, freeBlock{off, size})
+	}
 	return nil
 }
 

@@ -1,7 +1,9 @@
 package pmem
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -277,4 +279,256 @@ func createPoolQuick() (*Pool, *memRegion) {
 		panic(err)
 	}
 	return p, r
+}
+
+// heapModel is a brute-force first-fit allocator following the heap's
+// block rules: every block in offset order, the lowest free block that
+// fits is taken, a remainder of at least minSplit becomes a free tail,
+// and free merges with the following block when that one is free.
+type heapModel struct{ blocks []modelBlock }
+
+type modelBlock struct {
+	off, size uint64
+	allocated bool
+}
+
+func newHeapModel(p *Pool) *heapModel {
+	return &heapModel{blocks: []modelBlock{{off: p.heapOff, size: uint64(p.size) - p.heapOff}}}
+}
+
+// alloc returns the data offset the heap must hand out for n bytes, or
+// false when nothing fits.
+func (m *heapModel) alloc(n uint64) (uint64, bool) {
+	need := alignUp64(n, 64) + blockHeaderSize
+	for i, b := range m.blocks {
+		if b.allocated || b.size < need {
+			continue
+		}
+		if b.size-need >= minSplit {
+			m.blocks = slices.Insert(m.blocks, i+1, modelBlock{off: b.off + need, size: b.size - need})
+			m.blocks[i].size = need
+		}
+		m.blocks[i].allocated = true
+		return b.off + blockHeaderSize, true
+	}
+	return 0, false
+}
+
+func (m *heapModel) free(dataOff uint64) {
+	i := slices.IndexFunc(m.blocks, func(b modelBlock) bool { return b.off+blockHeaderSize == dataOff })
+	m.blocks[i].allocated = false
+	if i+1 < len(m.blocks) && !m.blocks[i+1].allocated {
+		m.blocks[i].size += m.blocks[i+1].size
+		m.blocks = slices.Delete(m.blocks, i+1, i+2)
+	}
+}
+
+func (m *heapModel) report() CheckReport {
+	r := CheckReport{Blocks: len(m.blocks)}
+	for _, b := range m.blocks {
+		if b.allocated {
+			r.AllocatedBlocks++
+		} else {
+			r.FreeBlocks++
+			r.FreeBytes += b.size
+		}
+	}
+	return r
+}
+
+// Property: random Alloc/AllocFrom/Free sequences, with a close and
+// reopen halfway, hand out exactly the offsets the brute-force first-fit
+// model picks, Check's accounting matches the model's blocks, and every
+// live object still holds its contents, zero-padded to 64 bytes.
+func TestHeapMatchesFirstFitModel(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p, r := createPoolQuick()
+		m := newHeapModel(p)
+		type obj struct {
+			oid  OID
+			want []byte
+		}
+		var live []obj
+		verify := func(step int) {
+			t.Helper()
+			got, err := p.Check()
+			if err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			if want := m.report(); got != want {
+				t.Fatalf("seed %d step %d: Check = %+v, model %+v", seed, step, got, want)
+			}
+			for _, o := range live {
+				n := alignUp64(uint64(len(o.want)), 64)
+				v, err := p.View(o.oid, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(v[:len(o.want)], o.want) || !isZero(v[len(o.want):]) {
+					t.Fatalf("seed %d step %d: %v lost its contents", seed, step, o.oid)
+				}
+			}
+		}
+		const steps = 400
+		for step := 0; step < steps; step++ {
+			if step == steps/2 {
+				verify(step)
+				if err := p.Close(); err != nil {
+					t.Fatal(err)
+				}
+				var err error
+				if p, err = Open(r, "quick"); err != nil {
+					t.Fatalf("seed %d: reopen: %v", seed, err)
+				}
+			}
+			if len(live) > 0 && rng.Intn(3) == 0 {
+				i := rng.Intn(len(live))
+				if err := p.Free(live[i].oid); err != nil {
+					t.Fatalf("seed %d step %d: %v", seed, step, err)
+				}
+				m.free(live[i].oid.Off)
+				live = slices.Delete(live, i, i+1)
+				continue
+			}
+			// Mostly random sizes, with repeats of a few fixed ones so
+			// freed blocks are reused exactly as well as split.
+			n := uint64(rng.Intn(3000) + 1)
+			if rng.Intn(2) == 0 {
+				n = []uint64{1, 64, 100, 4096}[rng.Intn(4)]
+			}
+			want := make([]byte, n)
+			var oid OID
+			var err error
+			if rng.Intn(2) == 0 {
+				rng.Read(want)
+				oid, err = p.AllocFrom(want)
+			} else {
+				oid, err = p.Alloc(n)
+			}
+			off, fits := m.alloc(n)
+			if fits != (err == nil) || (fits && oid.Off != off) {
+				t.Fatalf("seed %d step %d: alloc(%d) = %v, %v; model %#x, fits %v", seed, step, n, oid, err, off, fits)
+			}
+			if fits {
+				live = append(live, obj{oid, want})
+			}
+		}
+		verify(steps)
+	}
+}
+
+func isZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func TestAllocFrom(t *testing.T) {
+	p, r := createPool(t)
+	// Leave stale bytes in the heap so the padding below has to be
+	// written, not inherited from a fresh region.
+	stale, err := p.Alloc(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, _ := p.View(stale, 256)
+	for i := range v {
+		v[i] = 0xEE
+	}
+	if err := p.Persist(stale, 256); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Free(stale); err != nil {
+		t.Fatal(err)
+	}
+
+	// A split (the freed block merged back into the heap's tail): the
+	// tail header, then header and body in one persist.
+	data := bytes.Repeat([]byte{0x5A}, 100)
+	persists := p.Stats().Persists.Load()
+	a, err := p.AllocFrom(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := p.Stats().Persists.Load() - persists; d != 2 {
+		t.Errorf("AllocFrom with a split made %d persists, want 2", d)
+	}
+	if a.Off != stale.Off {
+		t.Errorf("AllocFrom at %#x, want the first fit %#x", a.Off, stale.Off)
+	}
+	if n, err := p.AllocSize(a); err != nil || n != 100 {
+		t.Errorf("AllocSize = %d, %v; want 100", n, err)
+	}
+
+	// An exact fit: a freed 256-byte block, fenced by b so it cannot
+	// coalesce, takes a 200-byte object without a split.
+	c, err := p.Alloc(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Alloc(256); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Free(c); err != nil {
+		t.Fatal(err)
+	}
+	exact := bytes.Repeat([]byte{0xC3}, 200)
+	persists, bytesOut := p.Stats().Persists.Load(), p.Stats().PersistBytes.Load()
+	e, err := p.AllocFrom(exact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Off != c.Off {
+		t.Errorf("exact fit at %#x, want %#x", e.Off, c.Off)
+	}
+	if d := p.Stats().Persists.Load() - persists; d != 1 {
+		t.Errorf("AllocFrom without a split made %d persists, want 1", d)
+	}
+	if d := p.Stats().PersistBytes.Load() - bytesOut; d != blockHeaderSize+256 {
+		t.Errorf("AllocFrom persisted %d bytes, want the %d-byte block", d, blockHeaderSize+256)
+	}
+
+	// Contents and zero padding are on the media, not just in the view.
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p, err = Open(r, "stream-arrays")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []struct {
+		oid  OID
+		want []byte
+	}{{a, data}, {e, exact}} {
+		v, err := p.View(o.oid, alignUp64(uint64(len(o.want)), 64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(v[:len(o.want)], o.want) || !isZero(v[len(o.want):]) {
+			t.Errorf("%v after reopen: contents or zero padding wrong", o.oid)
+		}
+	}
+
+	// Rejections: zero length, a crashed pool, a closed pool.
+	if _, err := p.AllocFrom(nil); err == nil {
+		t.Error("AllocFrom(nil) accepted")
+	}
+	if _, err := p.AllocFrom([]byte{}); err == nil {
+		t.Error("AllocFrom of zero bytes accepted")
+	}
+	p.SimulateCrash()
+	if _, err := p.AllocFrom(data); err == nil {
+		t.Error("AllocFrom on a crashed pool accepted")
+	}
+	closed, _ := createPool(t)
+	if err := closed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := closed.AllocFrom(data); err == nil {
+		t.Error("AllocFrom on a closed pool accepted")
+	}
 }

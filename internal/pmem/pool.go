@@ -423,7 +423,7 @@ func (p *Pool) Root(size uint64) (OID, error) {
 		}
 		return OID{PoolID: p.poolID, Off: p.rootOff}, nil
 	}
-	off, err := p.heap.alloc(size)
+	off, err := p.heap.alloc(size, nil)
 	if err != nil {
 		return OID{}, err
 	}
@@ -439,18 +439,29 @@ func (p *Pool) Root(size uint64) (OID, error) {
 // Alloc allocates a zeroed object of n bytes (POBJ_ALLOC, Listing 2
 // line 7). The data offset is 64-byte aligned, so Float64s views are
 // always correctly aligned.
-func (p *Pool) Alloc(n uint64) (OID, error) {
+func (p *Pool) Alloc(n uint64) (OID, error) { return p.alloc("alloc", n, nil) }
+
+// AllocFrom allocates an object of len(data) bytes holding a copy of
+// data — pmemobj_alloc with a constructor. The block's header and its
+// contents, zero-padded to the 64-byte block size, reach the media in a
+// single persist, so the object needs no separate View/copy/Persist.
+func (p *Pool) AllocFrom(data []byte) (OID, error) {
+	return p.alloc("allocfrom", uint64(len(data)), data)
+}
+
+// alloc is the one allocation path behind Alloc and AllocFrom.
+func (p *Pool) alloc(op string, n uint64, data []byte) (OID, error) {
 	p.stateMu.RLock()
 	defer p.stateMu.RUnlock()
-	if err := p.checkLive("alloc"); err != nil {
+	if err := p.checkLive(op); err != nil {
 		return OID{}, err
 	}
 	if n == 0 {
-		return OID{}, &PoolError{Op: "alloc", Layout: p.layout, Why: "zero size"}
+		return OID{}, &PoolError{Op: op, Layout: p.layout, Why: "zero size"}
 	}
 	p.heapMu.Lock()
 	defer p.heapMu.Unlock()
-	off, err := p.heap.alloc(n)
+	off, err := p.heap.alloc(n, data)
 	if err != nil {
 		return OID{}, err
 	}
