@@ -111,7 +111,7 @@ func (c *Cluster) AttachCoherent(size units.Size, cacheLines int) (*CoherentSegm
 			return nil, err
 		}
 		vppbs[i] = vppb
-		accs[i] = coherency.NewMemIOAccessor(rp, base)
+		accs[i] = cxl.NewWindowIO(rp, base)
 		cs.Ports = append(cs.Ports, rp)
 	}
 

@@ -371,8 +371,8 @@ func TestWrPtlMaskCorrectness(t *testing.T) {
 
 // TestZeroAllocSteadyState is the allocation-regression guard: the
 // line and burst data paths must not allocate per operation, and
-// neither must a 4 MiB WriteAt/ReadAt whose interior fans out across
-// VCs.
+// neither must a one-line WriteAt/ReadAt or a 4 MiB one whose interior
+// fans out across VCs.
 func TestZeroAllocSteadyState(t *testing.T) {
 	withProcs(t, 4)
 	rp, _ := burstPort(t, 8<<20)
@@ -395,6 +395,9 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		"ReadLine":   func() { _ = rp.ReadLine(0, &line) },
 		"WriteBurst": func() { _ = rp.WriteBurst(0, buf) },
 		"ReadBurst":  func() { _ = rp.ReadBurst(0, buf) },
+		// One aligned line: the coherent cache's fill and write-back.
+		"WriteAt 64B": func() { _ = rp.WriteAt(buf[:LineSize], 0) },
+		"ReadAt 64B":  func() { _ = rp.ReadAt(buf[:LineSize], 0) },
 	}
 	if !raceEnabled { // sync.Pool drops Puts under the race detector
 		cases["WriteAt 4MiB"] = func() { _ = rp.WriteAt(big, 0) }

@@ -2,6 +2,7 @@ package cxl
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -281,20 +282,51 @@ func TestRootPortDownLinkFails(t *testing.T) {
 	}
 }
 
+// TestRootPortFlitTrace checks what a line transaction puts on the
+// wire: a WriteLine is one request and one response flit, and a 64 B
+// aligned ReadAt/WriteAt through a base-translated window crosses the
+// link exactly as the direct ReadLine/WriteLine at the same HPA does —
+// the same flits, and no burst header.
 func TestRootPortFlitTrace(t *testing.T) {
+	const base, off = 0x40000, 0xC0 // window base; the window's fourth line
 	dev := testType3(t)
-	if err := dev.ProgramDecoder(&HDMDecoder{Base: 0, Size: 1 << 20}); err != nil {
+	if err := dev.ProgramDecoder(&HDMDecoder{Base: base, Size: 1 << 20}); err != nil {
 		t.Fatal(err)
 	}
 	rp := trainedPort(t, dev)
-	var flits int
-	rp.SetFlitTrace(func(Flit) { flits++ })
-	var line [LineSize]byte
-	if err := rp.WriteLine(0, &line); err != nil {
-		t.Fatal(err)
+	var wire [][2]uint8 // kind, opcode of every traced flit
+	rp.SetFlitTrace(func(f Flit) { wire = append(wire, [2]uint8{f.PeekKind(), f.PeekOp()}) })
+	trace := func(op func() error) [][2]uint8 {
+		t.Helper()
+		wire = nil
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+		return wire
 	}
-	if flits != 2 { // one request, one response
-		t.Errorf("traced %d flits, want 2", flits)
+	var line [LineSize]byte
+	buf := make([]byte, LineSize)
+	win := NewWindowIO(rp, base)
+	direct := map[string][][2]uint8{
+		"write": trace(func() error { return rp.WriteLine(base+off, &line) }),
+		"read":  trace(func() error { return rp.ReadLine(base+off, &line) }),
+	}
+	if n := len(direct["write"]); n != 2 { // one request, one response
+		t.Errorf("WriteLine traced %d flits, want 2", n)
+	}
+	windowed := map[string][][2]uint8{
+		"write": trace(func() error { return win.WriteAt(buf, off) }),
+		"read":  trace(func() error { return win.ReadAt(buf, off) }),
+	}
+	for name, got := range windowed {
+		if !slices.Equal(got, direct[name]) {
+			t.Errorf("windowed 64 B %s traced %v, want the direct line op's %v", name, got, direct[name])
+		}
+		for _, f := range got {
+			if op := MemOpcode(f[1]); f[0] == flitKindReq && (op == OpMemRdBurst || op == OpMemWrBurst) {
+				t.Errorf("windowed 64 B %s sent a %v header", name, op)
+			}
+		}
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 //	if errors.Is(err, cxl.ErrLinkDown) { ... }
 //
 // The address shapes are uniform across the whole I/O surface (see the
-// MemIO contract in memio.go): line/burst/submit entry points take a
-// host physical address as uint64; ReadAt/WriteAt take a byte offset
-// as int64.
+// MemIO contract in memio.go): line and burst calls, and RootPort's
+// SubmitRead/SubmitWrite, take a host physical address as uint64;
+// ReadAt/WriteAt take a byte offset as int64.
 var (
 	// ErrLinkDown — the port has no trained endpoint.
 	ErrLinkDown = errors.New("link down")

@@ -3,10 +3,10 @@ package cxl
 import "sync"
 
 // The fan-out engine: the one mechanism that spreads a transfer across
-// cores. Striped bursts and striped Flush hand it one part per leg
-// (InterleaveSet.do, InterleaveSet.Flush); large RootPort.ReadAt/WriteAt
-// interiors hand it one part per VC (RootPort.bulk). How a transfer is
-// cut into parts stays with the caller; the engine only runs them.
+// cores. Striped bursts hand it one part per leg (InterleaveSet.do);
+// large RootPort.ReadAt/WriteAt interiors hand it one part per VC
+// (RootPort.bulk). How a transfer is cut into parts stays with the
+// caller; the engine only runs them.
 //
 // A fixed set of helper goroutines — enough for one caller at full
 // width — parks on one unbuffered channel. They start on first use and

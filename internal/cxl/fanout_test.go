@@ -112,35 +112,3 @@ func TestFanOutConcurrentStripesAndBulk(t *testing.T) {
 	}
 	assertNoLineFallbacks(t, devs)
 }
-
-// TestInterleaveFlushFansOut checks the striped doorbell: writes queued
-// on every leg of an 8-way set all complete after one Flush and drain
-// through Harvest.
-func TestInterleaveFlushFansOut(t *testing.T) {
-	s, _ := testInterleaveSet(t, 8, 256)
-	var line [LineSize]byte
-	for leg := 0; leg < s.Ways(); leg++ {
-		line[0] = byte(leg + 1)
-		if _, err := s.SubmitWrite(s.Base()+uint64(leg)*s.Granule(), &line); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Flush()
-	done := make([]Completed, s.Ways())
-	if n := s.Harvest(done); n != s.Ways() {
-		t.Fatalf("harvested %d completions after Flush, want %d", n, s.Ways())
-	}
-	for _, c := range done {
-		if c.Err != nil {
-			t.Error(c.Err)
-		}
-	}
-	for leg := 0; leg < s.Ways(); leg++ {
-		if err := s.ReadLine(s.Base()+uint64(leg)*s.Granule(), &line); err != nil {
-			t.Fatal(err)
-		}
-		if line[0] != byte(leg+1) {
-			t.Errorf("leg %d line = %#x, want %#x", leg, line[0], leg+1)
-		}
-	}
-}

@@ -435,56 +435,36 @@ func (s *InterleaveSet) scatter(leg int, chunkStart uint64, chunk, p []byte, off
 // ReadAt copies len(p) bytes from HPA off, mirroring RootPort.ReadAt:
 // unaligned head and tail fragments go as line transactions through the
 // owning leg, the line-aligned interior as striped bursts.
-func (s *InterleaveSet) ReadAt(p []byte, off int64) error {
-	hpa := uint64(off)
-	if lo := int(hpa % uint64(LineSize)); lo != 0 {
-		n := LineSize - lo
-		if n > len(p) {
-			n = len(p)
-		}
-		if err := s.smallAccess(false, hpa, p[:n]); err != nil {
-			return err
-		}
-		p = p[n:]
-		hpa += uint64(n)
-	}
-	if n := len(p) &^ (LineSize - 1); n > 0 {
-		if err := s.do(false, hpa, p[:n]); err != nil {
-			return err
-		}
-		p = p[n:]
-		hpa += uint64(n)
-	}
-	if len(p) > 0 {
-		return s.smallAccess(false, hpa, p)
-	}
-	return nil
-}
+func (s *InterleaveSet) ReadAt(p []byte, off int64) error { return s.at(false, p, off) }
 
 // WriteAt stores p at HPA off: head/tail fragments become byte-masked
 // partial writes on the owning leg, the interior striped bursts.
-func (s *InterleaveSet) WriteAt(p []byte, off int64) error {
+func (s *InterleaveSet) WriteAt(p []byte, off int64) error { return s.at(true, p, off) }
+
+// at splits a byte-range transfer into an unaligned head, a line-aligned
+// interior and a partial tail.
+func (s *InterleaveSet) at(write bool, p []byte, off int64) error {
 	hpa := uint64(off)
 	if lo := int(hpa % uint64(LineSize)); lo != 0 {
 		n := LineSize - lo
 		if n > len(p) {
 			n = len(p)
 		}
-		if err := s.smallAccess(true, hpa, p[:n]); err != nil {
+		if err := s.smallAccess(write, hpa, p[:n]); err != nil {
 			return err
 		}
 		p = p[n:]
 		hpa += uint64(n)
 	}
 	if n := len(p) &^ (LineSize - 1); n > 0 {
-		if err := s.do(true, hpa, p[:n]); err != nil {
+		if err := s.do(write, hpa, p[:n]); err != nil {
 			return err
 		}
 		p = p[n:]
 		hpa += uint64(n)
 	}
 	if len(p) > 0 {
-		return s.smallAccess(true, hpa, p)
+		return s.smallAccess(write, hpa, p)
 	}
 	return nil
 }
@@ -503,71 +483,6 @@ func (s *InterleaveSet) smallAccess(write bool, hpa uint64, p []byte) error {
 		return rp.WriteAt(p, int64(hpa))
 	}
 	return rp.ReadAt(p, int64(hpa))
-}
-
-// SubmitRead enqueues a line read on the owning leg's ring without
-// ringing its doorbell; the set's Flush (or the token's Wait) completes
-// it. A granule mid-evacuation is serviced immediately through the
-// reroute path and returns an already-completed token.
-func (s *InterleaveSet) SubmitRead(hpa uint64, out *[LineSize]byte) (Completion, error) {
-	if !lineAligned(hpa) {
-		return Completion{}, portErr(s.name, "MemRd", hpa, ErrUnaligned, "unaligned")
-	}
-	defer s.exit(s.enter())
-	if ev := s.evac.Load(); ev != nil && s.evacOwned(ev, hpa) {
-		return Completion{err: s.evacSmall(ev, false, hpa, out[:])}, nil
-	}
-	return s.Route(hpa).SubmitRead(hpa, out)
-}
-
-// SubmitWrite enqueues a line write on the owning leg's ring without
-// ringing its doorbell; evacuating granules complete immediately, like
-// SubmitRead.
-func (s *InterleaveSet) SubmitWrite(hpa uint64, data *[LineSize]byte) (Completion, error) {
-	if !lineAligned(hpa) {
-		return Completion{}, portErr(s.name, "MemWr", hpa, ErrUnaligned, "unaligned")
-	}
-	defer s.exit(s.enter())
-	if ev := s.evac.Load(); ev != nil && s.evacOwned(ev, hpa) {
-		return Completion{err: s.evacSmall(ev, true, hpa, data[:])}, nil
-	}
-	return s.Route(hpa).SubmitWrite(hpa, data)
-}
-
-// Flush rings every leg's doorbell at once through the fan-out engine
-// (leg 0 inline), so a batch submitted across the stripe crosses all
-// member links concurrently.
-func (s *InterleaveSet) Flush() {
-	defer s.exit(s.enter())
-	legs := s.legs()
-	if len(legs) == 1 {
-		legs[0].Flush()
-		return
-	}
-	c := newFanCall()
-	for leg, rp := range legs {
-		c.parts[leg] = fanPart{run: flushPart, rp: rp}
-	}
-	c.run(len(legs))
-}
-
-// flushPart is a striped Flush's fan-out part: one leg's doorbell.
-func flushPart(pt *fanPart) error {
-	pt.rp.Flush()
-	return nil
-}
-
-// Harvest drains completions from the member ports' CQs, in leg order.
-func (s *InterleaveSet) Harvest(dst []Completed) int {
-	defer s.exit(s.enter())
-	n := 0
-	for _, rp := range s.legs() {
-		n += rp.Harvest(dst[n:])
-		if n == len(dst) {
-			break
-		}
-	}
-	return n
 }
 
 func (s *InterleaveSet) String() string {

@@ -579,12 +579,17 @@ func (rp *RootPort) moveFlit(h *portHooks, f *Flit) {
 	}
 }
 
-// --- MemIO: submission path ----------------------------------------------
+// --- Asynchronous ring API (RootPort only) -------------------------------
 
 // SubmitRead enqueues a line read at hpa into out without ringing the
-// doorbell; the returned token completes after a Flush (or its Wait,
-// which flushes on demand). out must stay valid until the completion is
-// consumed.
+// doorbell and returns a pooled completion token; no data moves yet.
+// Flush rings the doorbell, moving every queued descriptor across the
+// link in batched back-to-back flits. Each completion is then consumed
+// exactly once — Wait the token (which flushes on demand), or drain it
+// through Harvest into a caller-owned slice. out must stay valid until
+// the completion is consumed. Both directions are allocation-free in
+// steady state. This API is RootPort's own, outside MemIO: it is where
+// the ring batches, and every MemIO consumer moves data synchronously.
 func (rp *RootPort) SubmitRead(hpa uint64, out *[LineSize]byte) (Completion, error) {
 	if !lineAligned(hpa) {
 		return Completion{}, portErr(rp.name, "MemRd", hpa, ErrUnaligned, "unaligned")
@@ -933,14 +938,13 @@ func (rp *RootPort) ReadAt(p []byte, off int64) error {
 		p = p[n:]
 		hpa += uint64(n)
 	}
-	// Line-aligned interior: burst.
+	// Line-aligned interior: one line straight into the caller's
+	// buffer, or a burst.
 	if n := len(p) &^ (LineSize - 1); n > 0 {
 		if n == LineSize {
-			var line [LineSize]byte
-			if err := rp.ReadLine(hpa, &line); err != nil {
+			if err := rp.ReadLine(hpa, (*[LineSize]byte)(p)); err != nil {
 				return err
 			}
-			copy(p[:LineSize], line[:])
 		} else if err := rp.bulk(OpMemRdBurst, hpa, p[:n]); err != nil {
 			return err
 		}
@@ -976,12 +980,11 @@ func (rp *RootPort) WriteAt(p []byte, off int64) error {
 		p = p[n:]
 		hpa += uint64(n)
 	}
-	// Line-aligned interior: burst.
+	// Line-aligned interior: one line straight from the caller's
+	// buffer, or a burst.
 	if n := len(p) &^ (LineSize - 1); n > 0 {
 		if n == LineSize {
-			var line [LineSize]byte
-			copy(line[:], p[:LineSize])
-			if err := rp.WriteLine(hpa, &line); err != nil {
+			if err := rp.WriteLine(hpa, (*[LineSize]byte)(p)); err != nil {
 				return err
 			}
 		} else if err := rp.bulk(OpMemWrBurst, hpa, p[:n]); err != nil {

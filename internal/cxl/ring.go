@@ -93,10 +93,9 @@ type ringDesc struct {
 // slot recycled for a later lap can never be mistaken for it. Tokens
 // are values, so the steady state allocates nothing.
 type Completion struct {
-	ring *vcRing // nil when the data path completed at submit time
+	ring *vcRing // nil only in the zero token
 	pos  uint64
 	tag  uint16
-	err  error // outcome when ring is nil (DeviceIO, evacuation reroutes)
 }
 
 // Tag returns the wire tag the descriptor carried.
@@ -106,11 +105,11 @@ func (c Completion) Tag() uint16 { return c.tag }
 // nobody else has rung the doorbell yet) and returns the transaction's
 // error. If a concurrent Harvest drained the completion first, the
 // outcome went to that Harvest and Wait returns nil once the
-// descriptor is done.
+// descriptor is done. The zero token waits for nothing and returns nil.
 func (c Completion) Wait() error {
 	r := c.ring
 	if r == nil {
-		return c.err
+		return nil
 	}
 	slot := &r.slots[c.pos&ringMask]
 	if slot.seq.Load() < c.pos+2 {
