@@ -114,12 +114,12 @@ func renderTop(e *cluster.Elastic, reg *telemetry.Registry) {
 
 	now := time.Now().Format("15:04:05")
 	fmt.Printf("── fabricctl top @ %s — pool free %v\n", now, units.Size(poolFree))
-	fmt.Printf("%-10s %10s %9s %10s %12s %12s %12s\n",
-		"PORT", "ISSUED", "RETRIES", "DOORBELLS", "p50(burst)", "p99(burst)", "p99(read)")
+	fmt.Printf("%-10s %10s %9s %12s %12s %12s\n",
+		"PORT", "ISSUED", "RETRIES", "p50(burst)", "p99(burst)", "p99(read)")
 	for _, p := range sortedKeys(portCtr) {
 		c := portCtr[p]
-		fmt.Printf("%-10s %10.0f %9.0f %10.0f %12s %12s %12s\n",
-			p, c["cxl_port_issued_total"], c["cxl_port_retries_total"], c["cxl_port_doorbells_total"],
+		fmt.Printf("%-10s %10.0f %9.0f %12s %12s %12s\n",
+			p, c["cxl_port_issued_total"], c["cxl_port_retries_total"],
 			quantileUS(hists[p+"/burst"], 0.5), quantileUS(hists[p+"/burst"], 0.99), quantileUS(hists[p+"/read"], 0.99))
 	}
 	fmt.Printf("%-10s %12s %12s %14s %14s\n", "TENANT", "ACTIVE", "QUOTA", "READ BYTES", "WRITE BYTES")

@@ -49,18 +49,6 @@ type BurstHandler interface {
 	HandleMemBurst(req MemReq, payload []byte) MemResp
 }
 
-// QueueHandler is implemented by endpoints that service a flushed ring
-// batch in one call: len(reqs) == len(resps), resps[i] answers reqs[i].
-// Requests are independent line transactions (a failing request fails
-// alone), but the device may exploit batch shape — Type3Device
-// coalesces runs of adjacent same-opcode lines into single media
-// accesses and charges its counters once per batch instead of once per
-// line. Ports fall back to per-request HandleMem calls for endpoints
-// that do not implement it.
-type QueueHandler interface {
-	HandleMemQueue(reqs []MemReq, resps []MemResp)
-}
-
 // MemStats counts CXL.mem transactions at an endpoint. Reads/Writes
 // count single-line requests; bursts are counted separately (one
 // ReadBursts/WriteBursts increment per burst header, with BurstLines
@@ -105,12 +93,20 @@ type Type3Device struct {
 	lineLocks [lineLockStripes]sync.Mutex
 }
 
-// lineLockStripes is the number of per-line lock stripes (power of two).
-const lineLockStripes = 64
+// lineLockStripes is the number of per-line lock stripes.
+const (
+	lineLockStripeBits = 6
+	lineLockStripes    = 1 << lineLockStripeBits
+)
 
-// lineLock returns the stripe lock guarding the DPA line at dpa.
+// lineLock returns the stripe lock guarding the DPA line at dpa. The
+// stripe is a multiplicative hash of the line index, not its low bits:
+// structures laid out at a stride of a multiple of lineLockStripes
+// lines (the pmem undo-log lane headers, 96 KiB apart) would otherwise
+// all share one stripe, and concurrent transactions on different lanes
+// would serialise on it.
 func (d *Type3Device) lineLock(dpa uint64) *sync.Mutex {
-	return &d.lineLocks[(dpa/uint64(LineSize))&(lineLockStripes-1)]
+	return &d.lineLocks[(dpa/uint64(LineSize)*0x9e3779b97f4a7c15)>>(64-lineLockStripeBits)]
 }
 
 // deviceSnapshot is the immutable hot-path view of the device config.
@@ -358,126 +354,6 @@ func (d *Type3Device) HandleMem(req MemReq) MemResp {
 		resp.Opcode = RespErr
 	}
 	return resp
-}
-
-// snapDecode resolves hpa through a fixed snapshot (one consistent view
-// for a whole queued batch).
-func snapDecode(s *deviceSnapshot, hpa uint64) (uint64, bool) {
-	for _, dec := range s.decoders {
-		if dpa, ok := dec.Decode(hpa); ok {
-			return dpa, true
-		}
-	}
-	return 0, false
-}
-
-// HandleMemQueue implements QueueHandler: it services one flushed ring
-// batch against a single decoder/RAS snapshot. Runs of adjacent
-// same-opcode MemRd/MemWr lines (contiguous in DPA space) collapse into
-// one media access staged through the burst buffer pool, and the
-// read/write counters are charged once per run — the device-side half
-// of doorbell batching. Everything else (MemWrPtl, MemInv, unmapped or
-// poisoned lines, run breaks) falls through to the per-request path
-// with identical semantics.
-func (d *Type3Device) HandleMemQueue(reqs []MemReq, resps []MemResp) {
-	if len(reqs) == 1 {
-		resps[0] = d.HandleMem(reqs[0])
-		return
-	}
-	s := d.snapshot()
-	var nRd, nWr int64
-	i := 0
-	for i < len(reqs) {
-		req := &reqs[i]
-		op := req.Opcode
-		if op != OpMemRd && op != OpMemWr {
-			resps[i] = d.HandleMem(*req)
-			i++
-			continue
-		}
-		dpa, ok := snapDecode(s, req.Addr)
-		if !ok {
-			resps[i] = d.HandleMem(*req) // per-request path counts the error
-			i++
-			continue
-		}
-		// Extend the run while the next request is the same opcode on
-		// the next DPA line. Poison is probed once for the whole run
-		// below, not per line here.
-		j := i + 1
-		for j < len(reqs) && j-i < MaxBurstLines {
-			r2 := &reqs[j]
-			if r2.Opcode != op {
-				break
-			}
-			dpa2, ok2 := snapDecode(s, r2.Addr)
-			if !ok2 || dpa2 != dpa+uint64((j-i)*LineSize) {
-				break
-			}
-			j++
-		}
-		n := j - i
-		// One span-granular RAS probe covers the run; a hit drops the
-		// whole run to the per-request path, which re-checks line by
-		// line and charges errors exactly as before.
-		dirty := false
-		switch {
-		case s.poisonedSpan != nil:
-			dirty = s.poisonedSpan(dpa, uint64(n*LineSize))
-		case s.poisoned != nil:
-			for k := 0; k < n; k++ {
-				if s.poisoned(dpa + uint64(k*LineSize)) {
-					dirty = true
-					break
-				}
-			}
-		}
-		if n == 1 || dirty {
-			resps[i] = d.HandleMem(*req)
-			i++
-			continue
-		}
-		buf := burstBufPool.Get().(*[maxBurstBytes]byte)
-		span := buf[:n*LineSize]
-		var err error
-		if op == OpMemRd {
-			err = d.media.ReadAt(span, int64(dpa))
-		} else {
-			for k := 0; k < n; k++ {
-				copy(span[k*LineSize:(k+1)*LineSize], reqs[i+k].Data[:])
-			}
-			err = d.media.WriteAt(span, int64(dpa))
-		}
-		for k := 0; k < n; k++ {
-			r := &resps[i+k]
-			r.Tag = reqs[i+k].Tag
-			switch {
-			case err != nil:
-				r.Opcode = RespErr
-				d.stats.Errors.Add(1)
-			case op == OpMemRd:
-				copy(r.Data[:], span[k*LineSize:(k+1)*LineSize])
-				r.Opcode = RespMemData
-			default:
-				r.Opcode = RespCmp
-			}
-		}
-		burstBufPool.Put(buf)
-		if err == nil {
-			if op == OpMemRd {
-				nRd += int64(n)
-			} else {
-				nWr += int64(n)
-			}
-		}
-		i = j
-	}
-	if nRd > 0 {
-		d.stats.Reads.Add(nRd)
-	}
-	if nWr > 0 {
-		d.stats.Writes.Add(nWr)
-	}
 }
 
 // HandleMemBurst implements BurstHandler: it services a multi-line burst

@@ -13,9 +13,9 @@ import (
 //	if errors.Is(err, cxl.ErrLinkDown) { ... }
 //
 // The address shapes are uniform across the whole I/O surface (see the
-// MemIO contract in memio.go): line and burst calls, and RootPort's
-// SubmitRead/SubmitWrite, take a host physical address as uint64;
-// ReadAt/WriteAt take a byte offset as int64.
+// MemIO contract in memio.go): line and burst calls take a host
+// physical address as uint64; ReadAt/WriteAt take a byte offset as
+// int64.
 var (
 	// ErrLinkDown — the port has no trained endpoint.
 	ErrLinkDown = errors.New("link down")
@@ -35,14 +35,9 @@ var (
 	// ErrTagMismatch — a response or data flit carried a tag/sequence
 	// that does not match the request (protocol violation).
 	ErrTagMismatch = errors.New("tag mismatch")
-	// ErrRingFull — the virtual channel's submission queue is full and
-	// completions are not being consumed; Wait or Harvest outstanding
-	// tokens, then resubmit.
-	ErrRingFull = errors.New("submission ring full")
-	// ErrTimeout — a bounded wait expired: a descriptor deadline
-	// (Completion.WaitTimeout), a retrain that never completed, or a
-	// command deadline. The operation's outcome is unknown; the caller
-	// decides whether to requeue or fail.
+	// ErrTimeout — a bounded wait expired: a retrain that never
+	// completed, or a command deadline. The operation's outcome is
+	// unknown; the caller decides whether to requeue or fail.
 	ErrTimeout = errors.New("operation timed out")
 )
 

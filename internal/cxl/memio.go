@@ -22,9 +22,6 @@ import (
 // caller's buffer, a write has reached the device. Every failure is a
 // *PortError wrapping one of the package sentinels (errors.go), so
 // callers classify with errors.Is.
-//
-// The asynchronous ring API (SubmitRead/SubmitWrite, Flush, Harvest)
-// belongs to *RootPort alone; see RootPort.SubmitRead.
 type MemIO interface {
 	// ReadLine fetches the 64-byte line at the line-aligned HPA.
 	ReadLine(hpa uint64, out *[LineSize]byte) error

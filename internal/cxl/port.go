@@ -40,13 +40,10 @@ func (s LinkState) String() string {
 
 // Multi-queue issue model. The port exposes NumVCs virtual channels,
 // mirroring the per-QoS-class request queues of a real CXL host bridge.
-// Each VC owns an SQ/CQ ring pair (see ring.go) and a slice of the tag
-// space: the VC index in the high bits, the ring position in the low
-// bits. Submissions are dispatched by address in vcStride-line runs
-// (ringFor), so a burst of neighbouring submissions lands on one ring —
-// one doorbell, one batch — while sustained load still spreads over all
-// channels. Two in-flight transactions always differ in VC bits or
-// sequence bits.
+// Each VC owns a tag sequence (see ring.go) and a slice of the tag
+// space: the VC index in the high bits, the sequence position in the
+// low bits. Transactions are dispatched by address in vcStride-line
+// runs (ringFor), so sustained load spreads over all channels.
 const (
 	// NumVCs is the number of virtual channels per port (power of two).
 	NumVCs = 8
@@ -62,26 +59,20 @@ type VCStat struct {
 	Retries int64
 }
 
-// PortStats is one atomic-snapshot view of a port's ring and link
-// counters — the successor of the Retries()/VCStats() pair, extended
-// with the ring-path counters.
+// PortStats is one snapshot of a port's issue and link counters.
 type PortStats struct {
-	// Issued counts descriptors submitted across all VCs.
+	// Issued counts transactions issued across all VCs.
 	Issued int64
-	// Flushed counts descriptors claimed by doorbell flushes.
-	Flushed int64
 	// Retries counts link-level retransmissions across all VCs.
 	Retries int64
-	// Doorbells counts flush claims (each moves a whole batch in one VC
-	// acquisition); Issued/Doorbells is the realised batch depth.
+	// Doorbells equals Issued: every transaction moves on its own, so
+	// Issued/Doorbells, the realised batch depth, is 1. Kept, like
+	// CQOverflows, for reports that still print the batching counters.
 	Doorbells int64
-	// Harvested counts completions drained through Harvest.
-	Harvested int64
-	// CQOverflows counts live completion-queue entries dropped because
-	// the CQ filled faster than Harvest drained it.
+	// CQOverflows is always 0: the port has no completion queue to
+	// overflow.
 	CQOverflows int64
-	// Timeouts counts expired bounded waits: descriptor deadlines
-	// (WaitTimeout) and retrains that exceeded RetrainTimeout.
+	// Timeouts counts retrains that exceeded RetrainTimeout.
 	Timeouts int64
 	// Retrains counts LinkUp→Retraining transitions (link flaps).
 	Retrains int64
@@ -109,17 +100,14 @@ type portHooks struct {
 // non-nil, points at the attached endpoint's media counters so link
 // CRC retries and exhausted-retry failures are attributed to the device
 // they occurred against — the health thresholds' retry-storm input.
-// queue caches the endpoint's QueueHandler (resolved once at training
-// time) so flushes do not pay a per-batch type assertion.
 type portSession struct {
 	state    LinkState
 	endpoint Endpoint
 	ras      *memdev.Stats
-	queue    QueueHandler
 }
 
-// retry charges one link-level retransmission to the issuing VC's ring
-// and to the attached device's RAS counters.
+// retry charges one link-level retransmission to the issuing VC and to
+// the attached device's RAS counters.
 func (s *portSession) retry(r *vcRing) {
 	r.retries.Add(1)
 	if s.ras != nil {
@@ -136,10 +124,9 @@ func (s *portSession) uncorrectable() {
 
 // RootPort is a host-side CXL port: the CPU's view of one PCIe/CXL slot.
 // It owns the physical link, performs link training against an attached
-// endpoint, and carries CXL.mem traffic to it over per-VC
-// submission/completion rings (ring.go) — the synchronous methods are
-// submit+flush+wait over the same rings the async Submit* path uses, so
-// there is exactly one data path. Every request/response genuinely
+// endpoint, and carries CXL.mem traffic to it: every transaction is one
+// synchronous call on a per-VC tag sequence (ring.go) that moves its
+// flits on the caller's goroutine. Every request/response genuinely
 // round-trips through the flit codec so protocol tests observe real
 // wire behaviour; the steady-state data path allocates nothing and is
 // safe for concurrent use by many goroutines.
@@ -163,11 +150,9 @@ type RootPort struct {
 	// it on retry/park paths, never on a clean transaction.
 	cfg atomic.Pointer[PortOptions]
 
-	doorbells atomic.Int64
-	harvested atomic.Int64
-	timeouts  atomic.Int64
-	retrains  atomic.Int64
-	rings     [NumVCs]vcRing
+	timeouts atomic.Int64
+	retrains atomic.Int64
+	rings    [NumVCs]vcRing
 }
 
 // maxLinkRetries is the default retransmission budget before the port
@@ -262,17 +247,14 @@ func NewRootPort(name string, link *interconnect.Link) *RootPort {
 	cfg := PortOptions{}.resolve()
 	rp.cfg.Store(&cfg)
 	for i := range rp.rings {
-		rp.rings[i].init(rp, i)
+		rp.rings[i].idx = uint32(i)
 	}
 	return rp
 }
 
-// Stats returns one consistent snapshot of the port's ring and link
-// counters.
+// Stats returns a snapshot of the port's issue and link counters.
 func (rp *RootPort) Stats() PortStats {
 	var st PortStats
-	st.Doorbells = rp.doorbells.Load()
-	st.Harvested = rp.harvested.Load()
 	st.Timeouts = rp.timeouts.Load()
 	st.Retrains = rp.retrains.Load()
 	for i := range rp.rings {
@@ -281,10 +263,9 @@ func (rp *RootPort) Stats() PortStats {
 		retries := r.retries.Load()
 		st.VCs[i] = VCStat{Issued: issued, Retries: retries}
 		st.Issued += issued
-		st.Flushed += int64(r.flushHead.Load())
 		st.Retries += retries
-		st.CQOverflows += r.overflows.Load()
 	}
+	st.Doorbells = st.Issued
 	return st
 }
 
@@ -371,34 +352,17 @@ func (rp *RootPort) Attach(ep Endpoint) error {
 			sess.ras = media.Stats()
 		}
 	}
-	if qh, ok := ep.(QueueHandler); ok {
-		sess.queue = qh
-	}
 	rp.sess.Store(sess)
 	return nil
 }
 
 // Detach brings the link down and releases the endpoint. Transactions
 // already in flight complete against the endpoint they started with;
-// descriptors still queued on the rings are drained and completed with
-// ErrLinkDown (posted to the CQs), so no Wait or Harvest consumer ever
-// blocks on a surprise-removed port.
+// every transaction issued after Detach fails with ErrLinkDown.
 func (rp *RootPort) Detach() {
 	rp.mu.Lock()
 	rp.sess.Store(&portSession{state: LinkDown})
 	rp.mu.Unlock()
-	rp.drainRings()
-}
-
-// drainRings flushes every VC so descriptors published before the link
-// went down complete (with ErrLinkDown, now that the session is down)
-// instead of sitting unflushed forever.
-func (rp *RootPort) drainRings() {
-	for i := range rp.rings {
-		if rp.rings[i].pending() {
-			rp.flushVC(&rp.rings[i])
-		}
-	}
 }
 
 // StartRetrain takes a trained link out of L0 into Retraining (a link
@@ -419,8 +383,8 @@ func (rp *RootPort) StartRetrain() error {
 }
 
 // CompleteRetrain finishes a retrain: back to LinkUp on success, or
-// LinkDown (draining queued descriptors, like Detach) on failure. A
-// no-op unless the link is Retraining.
+// LinkDown (like Detach; parked transactions fail with ErrLinkDown) on
+// failure. A no-op unless the link is Retraining.
 func (rp *RootPort) CompleteRetrain(up bool) {
 	rp.mu.Lock()
 	s := rp.sess.Load()
@@ -437,7 +401,6 @@ func (rp *RootPort) CompleteRetrain(up bool) {
 	}
 	rp.sess.Store(&portSession{state: LinkDown})
 	rp.mu.Unlock()
-	rp.drainRings()
 }
 
 // awaitRetrain parks until a Retraining link settles: the LinkUp
@@ -461,26 +424,10 @@ func (rp *RootPort) awaitRetrain() (*portSession, error) {
 	}
 }
 
-// session returns the hot-path link snapshot, or an error when the link
-// is down. A Retraining link parks (bounded) and replays.
-func (rp *RootPort) session(op string, addr uint64) (*portSession, error) {
-	s := rp.sess.Load()
-	if s != nil && s.state == Retraining {
-		s2, err := rp.awaitRetrain()
-		if err != nil {
-			return nil, portErr(rp.name, op, addr, err, err.Error())
-		}
-		return s2, nil
-	}
-	if s == nil || s.state != LinkUp || s.endpoint == nil {
-		return nil, portErr(rp.name, op, addr, ErrLinkDown, "link down")
-	}
-	return s, nil
-}
-
-// ringSession is the flush-path variant of session: the caller builds
-// per-descriptor errors itself, so only the sentinel is needed.
-func (rp *RootPort) ringSession() (*portSession, error) {
+// session returns the hot-path link snapshot, or the sentinel error
+// when the link is down. A Retraining link parks (bounded) and replays.
+// The caller wraps the sentinel into its own PortError.
+func (rp *RootPort) session() (*portSession, error) {
 	s := rp.sess.Load()
 	if s != nil && s.state == Retraining {
 		return rp.awaitRetrain()
@@ -491,76 +438,12 @@ func (rp *RootPort) ringSession() (*portSession, error) {
 	return s, nil
 }
 
-// ringFor selects the VC ring for a submission by address: runs of
-// vcStride consecutive lines share a VC, so neighbouring submissions
-// land on one ring (one doorbell, device-side run coalescing) while
-// sustained traffic still spreads across all NumVCs — the address-
-// interleaved channel selection real memory controllers use, and it
-// costs no shared-counter RMW on the submit path.
+// ringFor selects the VC for a transaction by address: runs of
+// vcStride consecutive lines share a VC, so sustained traffic spreads
+// across all NumVCs — the address-interleaved channel selection real
+// memory controllers use — at no shared-counter cost.
 func (rp *RootPort) ringFor(hpa uint64) *vcRing {
 	return &rp.rings[(hpa/vcRunBytes)&(NumVCs-1)]
-}
-
-// syncTransact is the synchronous submit+flush+wait path with the
-// flush claim fused into the submit: when this descriptor is the next
-// to flush, its one-entry span is claimed *before* the publish store,
-// so no concurrent flusher can ever observe the descriptor — it is
-// processed on this stack and the slot freed with a single release
-// store (done and consumed fused; the submitter is also the waiter, so
-// nobody else reads the token). When earlier descriptors are queued,
-// it degrades to the generic publish + flush + wait shape.
-func (rp *RootPort) syncTransact(kind uint8, op MemOpcode, addr, mask uint64, out *[LineSize]byte, data *[LineSize]byte, p []byte) error {
-	r := rp.ringFor(addr)
-	for {
-		t := r.tail.Load()
-		slot := &r.slots[t&ringMask]
-		seq := slot.seq.Load()
-		if seq != t {
-			if seq < t {
-				// Ring full: drain (waiters consume their slots) and retry.
-				rp.flushVC(r)
-				runtime.Gosched()
-			}
-			continue
-		}
-		if !r.tail.CompareAndSwap(t, t+1) {
-			continue
-		}
-		d := &slot.desc
-		if r.flushHead.CompareAndSwap(t, t+1) {
-			// Fused: the slot is never published, so only the fields the
-			// wire movers read need to be filled.
-			d.op, d.addr, d.mask, d.out, d.p = op, addr, mask, out, p
-			if data != nil {
-				d.data = *data
-			}
-			rp.doorbells.Add(1)
-			var err error
-			s, serr := rp.ringSession()
-			hk, hist, t0 := rp.tapPick(t, rp.hooks.Load(), kind, op, false)
-			switch {
-			case serr != nil:
-				err = portErr(rp.name, op.String(), addr, serr, serr.Error())
-			case kind == descBurst:
-				err = rp.ringBurst(s, hk, r, d, r.tagAt(t))
-			default:
-				err = rp.processSingle(r, slot, t, s, hk, r.tagAt(t))
-			}
-			slot.seq.Store(t + RingSlots)
-			if hist != nil {
-				hist.RecordSince(t0)
-			}
-			return err
-		}
-		d.kind, d.noCQ, d.op, d.addr, d.mask, d.out, d.p = kind, true, op, addr, mask, out, p
-		if data != nil {
-			d.data = *data
-		}
-		slot.tag, slot.err = r.tagAt(t), nil
-		slot.seq.Store(t + 1)
-		rp.flushVC(r)
-		return Completion{ring: r, pos: t}.Wait()
-	}
 }
 
 // moveFlit pushes one already-encoded flit through the modelled wire:
@@ -579,88 +462,14 @@ func (rp *RootPort) moveFlit(h *portHooks, f *Flit) {
 	}
 }
 
-// --- Asynchronous ring API (RootPort only) -------------------------------
-
-// SubmitRead enqueues a line read at hpa into out without ringing the
-// doorbell and returns a pooled completion token; no data moves yet.
-// Flush rings the doorbell, moving every queued descriptor across the
-// link in batched back-to-back flits. Each completion is then consumed
-// exactly once — Wait the token (which flushes on demand), or drain it
-// through Harvest into a caller-owned slice. out must stay valid until
-// the completion is consumed. Both directions are allocation-free in
-// steady state. This API is RootPort's own, outside MemIO: it is where
-// the ring batches, and every MemIO consumer moves data synchronously.
-func (rp *RootPort) SubmitRead(hpa uint64, out *[LineSize]byte) (Completion, error) {
-	if !lineAligned(hpa) {
-		return Completion{}, portErr(rp.name, "MemRd", hpa, ErrUnaligned, "unaligned")
-	}
-	r := rp.ringFor(hpa)
-	c, err := r.submit(descLine, false, OpMemRd, hpa, 0, out, nil, nil)
-	if err != nil {
-		rp.flushVC(r)
-		if c, err = r.submit(descLine, false, OpMemRd, hpa, 0, out, nil, nil); err != nil {
-			return Completion{}, portErr(rp.name, "MemRd", hpa, ErrRingFull, "submission ring full")
-		}
-	}
-	return c, nil
-}
-
-// SubmitWrite enqueues a line write at hpa without ringing the
-// doorbell. data is staged into the descriptor at submit time, so the
-// caller's buffer may be reused immediately.
-func (rp *RootPort) SubmitWrite(hpa uint64, data *[LineSize]byte) (Completion, error) {
-	if !lineAligned(hpa) {
-		return Completion{}, portErr(rp.name, "MemWr", hpa, ErrUnaligned, "unaligned")
-	}
-	r := rp.ringFor(hpa)
-	c, err := r.submit(descLine, false, OpMemWr, hpa, 0, nil, data, nil)
-	if err != nil {
-		rp.flushVC(r)
-		if c, err = r.submit(descLine, false, OpMemWr, hpa, 0, nil, data, nil); err != nil {
-			return Completion{}, portErr(rp.name, "MemWr", hpa, ErrRingFull, "submission ring full")
-		}
-	}
-	return c, nil
-}
-
-// Flush rings the doorbell on every VC with queued submissions: each
-// ring's batch crosses the link in one VC acquisition.
-func (rp *RootPort) Flush() {
-	for i := range rp.rings {
-		if rp.rings[i].pending() {
-			rp.flushVC(&rp.rings[i])
-		}
-	}
-}
-
-// Harvest drains up to len(dst) completions from the port's CQs into
-// the caller-owned slice, consuming them. Completions already consumed
-// via Wait never surface here.
-func (rp *RootPort) Harvest(dst []Completed) int {
-	n := 0
-	for i := range rp.rings {
-		if rp.rings[i].cqN.Load() == 0 {
-			continue
-		}
-		n += rp.rings[i].harvest(dst[n:])
-		if n == len(dst) {
-			break
-		}
-	}
-	if n > 0 {
-		rp.harvested.Add(int64(n))
-	}
-	return n
-}
-
-// --- MemIO: synchronous path (submit+flush+wait over the same rings) -----
+// --- MemIO: line transactions ---------------------------------------------
 
 // ReadLine fetches the 64-byte line at hpa.
 func (rp *RootPort) ReadLine(hpa uint64, out *[LineSize]byte) error {
 	if !lineAligned(hpa) {
 		return portErr(rp.name, "MemRd", hpa, ErrUnaligned, "unaligned")
 	}
-	return rp.syncTransact(descLine, OpMemRd, hpa, 0, out, nil, nil)
+	return rp.syncTransact(OpMemRd, hpa, 0, out, nil, nil)
 }
 
 // WriteLine stores a full 64-byte line at hpa.
@@ -668,7 +477,7 @@ func (rp *RootPort) WriteLine(hpa uint64, data *[LineSize]byte) error {
 	if !lineAligned(hpa) {
 		return portErr(rp.name, "MemWr", hpa, ErrUnaligned, "unaligned")
 	}
-	return rp.syncTransact(descLine, OpMemWr, hpa, 0, nil, data, nil)
+	return rp.syncTransact(OpMemWr, hpa, 0, nil, data, nil)
 }
 
 // writePartial issues one MemWrPtl for the sub-line [lo, lo+n) of the
@@ -680,7 +489,7 @@ func (rp *RootPort) writePartial(base uint64, lo int, p []byte) error {
 	for i := lo; i < lo+len(p); i++ {
 		mask |= 1 << uint(i)
 	}
-	return rp.syncTransact(descLine, OpMemWrPtl, base, mask, nil, &data, nil)
+	return rp.syncTransact(OpMemWrPtl, base, mask, nil, &data, nil)
 }
 
 // --- Burst transactions --------------------------------------------------
@@ -691,8 +500,8 @@ func (rp *RootPort) writePartial(base uint64, lo int, p []byte) error {
 // fault injection, tracing and CRC/retry fire per flit — but the
 // endpoint services the whole burst with a single HDM access, so bulk
 // transfers cost O(bytes) instead of O(lines × codec round trips).
-// Bursts ride the rings as single descriptors (descBurst), so they
-// interleave with line submissions in descriptor order.
+// A burst is one transaction on its VC's tag sequence: every chunk of
+// it carries the same tag.
 //
 // Addressing semantics follow the endpoint's HDM decoder, as on real
 // hardware. Through a plain decoder a burst covers the contiguous HPA
@@ -709,7 +518,7 @@ func (rp *RootPort) writePartial(base uint64, lo int, p []byte) error {
 // retry — a flit corrupted in flight fails its CRC at the receiver,
 // which NAKs, and the sender retransmits from its retry buffer — and
 // returns the decoded form the device sees. Retries are charged to the
-// issuing VC's ring.
+// issuing VC.
 func (rp *RootPort) sendHeader(s *portSession, h *portHooks, r *vcRing, req *MemReq, decoded *MemReq) error {
 	var f Flit
 	var err error
@@ -838,7 +647,7 @@ func (rp *RootPort) WriteBurst(hpa uint64, p []byte) error {
 	if len(p) == 0 {
 		return nil
 	}
-	return rp.syncTransact(descBurst, OpMemWrBurst, hpa, 0, nil, nil, p)
+	return rp.syncTransact(OpMemWrBurst, hpa, 0, nil, nil, p)
 }
 
 // ReadBurst fetches len(p) bytes from the line-aligned HPA hpa using
@@ -850,11 +659,11 @@ func (rp *RootPort) ReadBurst(hpa uint64, p []byte) error {
 	if len(p) == 0 {
 		return nil
 	}
-	return rp.syncTransact(descBurst, OpMemRdBurst, hpa, 0, nil, nil, p)
+	return rp.syncTransact(OpMemRdBurst, hpa, 0, nil, nil, p)
 }
 
-// writeBurstChunk moves one ≤maxBurstBytes write burst chunk for a ring
-// burst descriptor: header, data beats, device, completion.
+// writeBurstChunk moves one ≤maxBurstBytes chunk of a write burst:
+// header, data beats, device, completion.
 func (rp *RootPort) writeBurstChunk(s *portSession, h *portHooks, r *vcRing, tag uint16, hpa uint64, p []byte) error {
 	lines := len(p) / LineSize
 	req := MemReq{Opcode: OpMemWrBurst, Addr: hpa, Lines: uint16(lines), Tag: tag}
@@ -884,8 +693,7 @@ func (rp *RootPort) writeBurstChunk(s *portSession, h *portHooks, r *vcRing, tag
 	return nil
 }
 
-// readBurstChunk moves one ≤maxBurstBytes read burst chunk for a ring
-// burst descriptor.
+// readBurstChunk moves one ≤maxBurstBytes chunk of a read burst.
 func (rp *RootPort) readBurstChunk(s *portSession, h *portHooks, r *vcRing, tag uint16, hpa uint64, p []byte) error {
 	lines := len(p) / LineSize
 	req := MemReq{Opcode: OpMemRdBurst, Addr: hpa, Lines: uint16(lines), Tag: tag}
@@ -1011,14 +819,14 @@ const bulkPartMin = 1 << 20
 // span of at least 2×bulkPartMin is cut into up to min(GOMAXPROCS,
 // NumVCs) contiguous parts, each starting on its own VC, which move at
 // once through the fan-out engine (part 0 on the caller's goroutine).
-// Every part is an ordinary fused burst transaction on its VC, so flit
+// Every part is an ordinary burst transaction on its VC, so flit
 // sealing and checking, retry, hooks and telemetry are those of a
 // serial burst. On failure the lowest-address failing part's error is
 // returned — the error the serial burst would have stopped at.
 func (rp *RootPort) bulk(op MemOpcode, hpa uint64, p []byte) error {
 	k := min(len(p)/bulkPartMin, runtime.GOMAXPROCS(0), NumVCs)
 	if k < 2 {
-		return rp.syncTransact(descBurst, op, hpa, 0, nil, nil, p)
+		return rp.syncTransact(op, hpa, 0, nil, nil, p)
 	}
 	// Part i nominally starts i/k of the way in; its start is moved
 	// within one vcPeriod to the vcStride run ringFor maps to VC vc0+i.
@@ -1045,5 +853,5 @@ func bulkPart(pt *fanPart) error {
 	if pt.write {
 		op = OpMemWrBurst
 	}
-	return pt.rp.syncTransact(descBurst, op, pt.hpa, 0, nil, nil, pt.p)
+	return pt.rp.syncTransact(op, pt.hpa, 0, nil, nil, pt.p)
 }

@@ -152,9 +152,9 @@ const (
 	flitKindBISnp = 3
 	flitKindBIRsp = 4
 	// flitKindSQ packs up to 4 header-only submission entries (MemRd /
-	// MemInv descriptors: opcode, tag, address) into one flit's payload
-	// slots — the ring data path's slot packing (CXL flits genuinely
-	// carry multiple slots; see ring.go).
+	// MemInv requests: opcode, tag, address) into one flit's payload
+	// slots (CXL flits genuinely carry multiple slots). The port's line
+	// path sends one entry per flit; see ring.go.
 	flitKindSQ = 5
 	// flitKindCQ packs up to 4 completion entries (status, tag,
 	// address) into one flit — the completion-queue return path.
@@ -221,8 +221,8 @@ func EncodeReqInto(f *Flit, r *MemReq) {
 }
 
 // EncodeReqFieldsInto serialises a single-line request held as loose
-// fields (the ring descriptor's layout), so the ring's write path moves
-// the payload onto the wire without staging an intermediate MemReq.
+// fields, so the port's line write path moves the payload onto the
+// wire without staging an intermediate MemReq.
 // Wire format matches EncodeReqInto with Lines=0.
 func EncodeReqFieldsInto(f *Flit, op MemOpcode, tag uint16, addr, mask uint64, data *[LineSize]byte) {
 	binary.LittleEndian.PutUint64(f.raw[0:8],
@@ -568,15 +568,15 @@ func DecodeBIRspInto(r *BIRsp, f *Flit) error {
 	return nil
 }
 
-// --- Packed submission/completion flits (ring data path) -----------------
+// --- Packed submission/completion flits ----------------------------------
 //
-// The ring path amortises header traffic the way CXL's multi-slot flits
-// do: data-less messages are 16-byte slot entries, four to a flit. A
-// MemRd or MemInv submission carries only opcode+tag+address, so four
-// descriptors ride one CRC-protected flit out; a completion carries
-// only status+tag+address, so four completions ride one flit back.
-// Data-bearing messages (MemWr submissions, MemRd data returns) still
-// occupy a full flit each — payload bytes cannot pack.
+// Data-less messages are 16-byte slot entries, up to four to a flit, the
+// way CXL's multi-slot flits carry them. A MemRd or MemInv submission
+// carries only opcode+tag+address, and a completion only
+// status+tag+address. The port's line path sends one entry per flit
+// (ring.go); the format admits four. Data-bearing messages (MemWr
+// submissions, MemRd data returns) occupy a full flit each — payload
+// bytes cannot pack.
 
 // SQEntriesPerFlit / CQEntriesPerFlit is the slot-packing factor: four
 // 16-byte entries in the 64-byte payload region.
@@ -585,7 +585,7 @@ const (
 	CQEntriesPerFlit = 4
 )
 
-// SQE is one packed submission entry: a header-only descriptor.
+// SQE is one packed submission entry: a header-only request.
 type SQE struct {
 	Op   MemOpcode
 	Tag  uint16

@@ -14,7 +14,7 @@ import (
 // with telemetry enabled must stay within 3% of disabled. Per-flit
 // bookkeeping cannot meet that (a 4 KiB burst moves ~66 flits), so the
 // port taps per *transaction*: a per-VC counter picks every N-th
-// doorbell claim, and only that sampled transaction pays the clock
+// transaction, and only that sampled transaction pays the clock
 // reads and rides hooks whose trace chains into the flight recorder.
 // Unsampled transactions see hooks identical to the user's own — their
 // only extra cost is one atomic pointer load and one counter add —
@@ -48,7 +48,6 @@ type tapConfig struct {
 	latRead  *telemetry.Histogram
 	latWrite *telemetry.Histogram
 	latBurst *telemetry.Histogram
-	latFlush *telemetry.Histogram
 }
 
 // portTap is the hot-path telemetry snapshot: the config plus the two
@@ -60,9 +59,9 @@ type portTap struct {
 	unsampled *portHooks
 }
 
-// histFor picks the latency histogram for a transaction shape.
-func (t *portTap) histFor(kind uint8, op MemOpcode) *telemetry.Histogram {
-	if kind == descBurst {
+// histFor picks the latency histogram for a transaction's opcode.
+func (t *portTap) histFor(op MemOpcode) *telemetry.Histogram {
+	if isBurst(op) {
 		return t.latBurst
 	}
 	if op == OpMemRd {
@@ -124,10 +123,10 @@ func (rp *RootPort) rebuildTapLocked() {
 // tapPick selects the hook variant for one transaction and, when the
 // transaction is sampled, returns the histogram to record into and the
 // start time. The sampling clock is the transaction's already-claimed
-// ring position — monotonically increasing per VC — so the unsampled
-// fast path costs one atomic pointer load and a mask test, no extra
-// atomic traffic.
-func (rp *RootPort) tapPick(pos uint64, hk *portHooks, kind uint8, op MemOpcode, flush bool) (*portHooks, *telemetry.Histogram, time.Time) {
+// sequence position — monotonically increasing per VC — so the
+// unsampled fast path costs one atomic pointer load and a mask test, no
+// extra atomic traffic.
+func (rp *RootPort) tapPick(pos uint64, hk *portHooks, op MemOpcode) (*portHooks, *telemetry.Histogram, time.Time) {
 	tap := rp.tap.Load()
 	if tap == nil {
 		return hk, nil, time.Time{}
@@ -137,15 +136,12 @@ func (rp *RootPort) tapPick(pos uint64, hk *portHooks, kind uint8, op MemOpcode,
 		// enable — is not unconditionally sampled at any rate.
 		return tap.unsampled, nil, time.Time{}
 	}
-	if flush {
-		return tap.sampled, tap.latFlush, time.Now()
-	}
-	return tap.sampled, tap.histFor(kind, op), time.Now()
+	return tap.sampled, tap.histFor(op), time.Now()
 }
 
 // EnableTelemetry attaches the port to a registry: latency histograms
-// (cxl_port_latency_ns, op=read|write|burst|flush), a collector for the
-// ring/link counters (cxl_port_*_total and per-VC cxl_vc_*_total), and
+// (cxl_port_latency_ns, op=read|write|burst), a collector for the
+// issue/link counters (cxl_port_*_total and per-VC cxl_vc_*_total), and
 // a flight recorder fed from the trace hook slot per the sampling
 // policy above. Returns the recorder (also reachable via
 // FlightRecorder). Call once per port per registry — registration is
@@ -166,7 +162,6 @@ func (rp *RootPort) EnableTelemetry(reg *telemetry.Registry, opts TelemetryOptio
 		latRead:  reg.NewHistogram("cxl_port_latency_ns", telemetry.Labels("port", rp.name, "op", "read")),
 		latWrite: reg.NewHistogram("cxl_port_latency_ns", telemetry.Labels("port", rp.name, "op", "write")),
 		latBurst: reg.NewHistogram("cxl_port_latency_ns", telemetry.Labels("port", rp.name, "op", "burst")),
-		latFlush: reg.NewHistogram("cxl_port_latency_ns", telemetry.Labels("port", rp.name, "op", "flush")),
 	}
 	var vcLabels [NumVCs]string
 	for i := range vcLabels {
@@ -175,11 +170,7 @@ func (rp *RootPort) EnableTelemetry(reg *telemetry.Registry, opts TelemetryOptio
 	reg.RegisterCollector(func(e *telemetry.Emitter) {
 		st := rp.Stats()
 		e.Counter("cxl_port_issued_total", port, st.Issued)
-		e.Counter("cxl_port_flushed_total", port, st.Flushed)
 		e.Counter("cxl_port_retries_total", port, st.Retries)
-		e.Counter("cxl_port_doorbells_total", port, st.Doorbells)
-		e.Counter("cxl_port_harvested_total", port, st.Harvested)
-		e.Counter("cxl_port_cq_overflows_total", port, st.CQOverflows)
 		e.Counter("cxl_port_timeouts_total", port, st.Timeouts)
 		e.Counter("cxl_port_retrains_total", port, st.Retrains)
 		for i := range st.VCs {
