@@ -584,8 +584,10 @@ func BenchmarkStripedSTREAM(b *testing.B) {
 }
 
 // BenchmarkPoolOpen measures pmemobj_open over the CXL mount: header
-// validation, undo-log recovery and the full view load, all through the
-// root port's burst path (one media scan — see pmem.Open).
+// validation, undo-log recovery and the heap walk, all through the root
+// port's burst path. Its heap is sparse (1 MiB live in 8 MiB), so the
+// walk reads the live block and skips the free tail (see pmem.Open);
+// BenchmarkPoolOpenFull is the dense case.
 func BenchmarkPoolOpen(b *testing.B) {
 	rt, err := NewSetup1(Setup1Options{FPGA: fpga.Options{ChannelCapacity: 8 * units.MiB}})
 	if err != nil {
@@ -614,6 +616,52 @@ func BenchmarkPoolOpen(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p, err := rt.OpenPool(n.ID, "bench-open", "bench")
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := p.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
+
+// BenchmarkPoolOpenFull is BenchmarkPoolOpen over a dense heap: one
+// allocated block fills the pool, the shape of a STREAM-PMem pool, so
+// the heap walk must read every byte of it.
+func BenchmarkPoolOpenFull(b *testing.B) {
+	rt, err := NewSetup1(Setup1Options{FPGA: fpga.Options{ChannelCapacity: 8 * units.MiB}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	n, ok := rt.CXLNode()
+	if !ok {
+		b.Fatal("no CXL node")
+	}
+	const size = 8 << 20
+	p, err := rt.CreatePool(n.ID, "bench-open-full", "bench", size)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rep, err := p.Check()
+	if err != nil {
+		b.Fatal(err)
+	}
+	// One block over the whole heap: a 64-byte header, the rest body.
+	if _, err := p.Alloc(rep.FreeBytes - 64); err != nil {
+		b.Fatal(err)
+	}
+	if rep, err = p.Check(); err != nil || rep.FreeBlocks != 0 {
+		b.Fatalf("heap not full: %+v, %v", rep, err)
+	}
+	if err := p.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(size)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := rt.OpenPool(n.ID, "bench-open-full", "bench")
 		if err != nil {
 			b.Fatal(err)
 		}

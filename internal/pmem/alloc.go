@@ -11,11 +11,17 @@ import (
 // log, each preceded by a 64-byte block header so that data offsets are
 // 64-byte aligned (cache-line alignment, and sufficient for Float64s
 // views). The free list is volatile and rebuilt on open by walking the
-// block chain; headers are persisted at every state change so the walk
-// is always well-formed after a crash. A crash between header persist
-// and caller visibility can at worst leak one block — the same failure
-// window PMDK closes with its redo log and detects with pmempool check;
-// our Check performs the equivalent leak scan.
+// block chain on media; headers are persisted at every state change so
+// the walk is always well-formed after a crash. A crash between header
+// persist and caller visibility can at worst leak one block — the same
+// failure window PMDK closes with its redo log and detects with pmempool
+// check; our Check performs the equivalent leak scan.
+//
+// A free block's body is never read from the view: alloc rewrites the
+// whole block (header, data, zero padding) before its one persist, and
+// free, a split, Check and Objects touch headers only. So the open-time
+// walk loads free blocks by header alone, and whatever a free body
+// holds on media — a freed object, a torn allocation — never shows.
 
 const (
 	// blockHeaderSize precedes every block; 64 keeps data aligned.
@@ -76,23 +82,52 @@ func (h *heap) format() error {
 	return nil
 }
 
-// rebuild reconstructs the volatile free index by walking the chain;
-// the walk visits blocks in offset order, so appending keeps it sorted.
-func (h *heap) rebuild() error {
+// openReadahead is how far past the bytes it needs the open-time heap
+// walk reads at once: twice the CXL root port's bulk part, the smallest
+// read its bulk path fans out across virtual channels.
+const openReadahead = 2 << 20
+
+// rebuild reconstructs the volatile free index by walking the block
+// chain on media, loading the view past loaded as it goes: each
+// allocated block is read whole, each free block by its header only
+// (see the file comment), in reads of at least openReadahead bytes. The
+// walk visits blocks in offset order, so appending keeps the index
+// sorted.
+func (h *heap) rebuild(loaded uint64) error {
 	h.freeIdx = h.freeIdx[:0]
-	off := h.start
-	for off < h.end {
+	// view[:loaded) holds what the media holds, except for free block
+	// bodies the walk skipped.
+	load := func(need uint64) error {
+		if need <= loaded {
+			return nil
+		}
+		hi := min(h.end, max(need, loaded+openReadahead))
+		if err := h.p.region.ReadAt(h.p.view[loaded:hi], int64(loaded)); err != nil {
+			return err
+		}
+		loaded = hi
+		return nil
+	}
+	for off := h.start; off < h.end; {
+		if h.end-off < blockHeaderSize {
+			return &PoolError{Op: "rebuild", Layout: h.p.layout, Why: fmt.Sprintf("truncated block header at %#x", off)}
+		}
+		if err := load(off + blockHeaderSize); err != nil {
+			return err
+		}
 		magic, size, flags, _ := h.readHeader(off)
-		if magic != blockMagic || size < blockHeaderSize || off+size > h.end {
+		if magic != blockMagic || size < blockHeaderSize || size > h.end-off {
 			return &PoolError{Op: "rebuild", Layout: h.p.layout, Why: fmt.Sprintf("corrupt block header at %#x", off)}
 		}
-		if flags&flagAllocated == 0 {
+		if flags&flagAllocated != 0 {
+			if err := load(off + size); err != nil {
+				return err
+			}
+		} else {
 			h.freeIdx = append(h.freeIdx, freeBlock{off, size})
+			loaded = max(loaded, off+size)
 		}
 		off += size
-	}
-	if off != h.end {
-		return &PoolError{Op: "rebuild", Layout: h.p.layout, Why: "heap walk overran the pool"}
 	}
 	return nil
 }

@@ -257,26 +257,35 @@ func Open(region Region, layout string) (*Pool, error) {
 		rootSize: binary.LittleEndian.Uint64(hdr[hdrRootSize:]),
 		poolID:   binary.LittleEndian.Uint64(hdr[hdrPoolID:]),
 	}
+	// The geometry must fit the region before anything slices the view
+	// by it: a header with a valid checksum but out-of-range offsets is
+	// a corrupt pool, not a reason to panic. The checks are written so
+	// that no sum can overflow.
+	if p.logOff < headerSize || p.logOff > p.heapOff || p.logSize > p.heapOff-p.logOff || p.heapOff > uint64(size)-blockHeaderSize {
+		return nil, &PoolError{Op: "open", Layout: layout, Why: "header geometry out of range"}
+	}
 	if p.logSize < TxLanes*laneHeaderSize || p.logSize%TxLanes != 0 {
 		return nil, &PoolError{Op: "open", Layout: layout, Why: "undo log size not divisible into lanes"}
 	}
-	// Map the view with a single media scan (over a CXL region this is
-	// the dominant open cost — one burst-path read of the whole pool),
-	// then run undo-log recovery from the in-memory image: the log
-	// region in the view is exactly what a pre-view media read would
-	// have returned, and rollback writes restore both the media and the
-	// view, so a torn transaction is rolled back on media before the
-	// pool is usable — the same guarantee the old read-log-then-reread-
-	// everything sequence gave, at half the media traffic.
+	// Load the header, the undo log and the heap's first readahead
+	// window in one read (long enough for the CXL bulk path to fan it
+	// out), recover the log from the view, then let the heap walk load
+	// the rest: allocated blocks whole, free blocks by header only
+	// (heap.rebuild). Over a CXL region these reads are the dominant
+	// open cost, and this way they scale with the live heap, not with
+	// the pool. Rollback writes reach the media and the view alike, so
+	// every view byte, loaded before recovery or by the walk after it,
+	// holds the restored value.
 	p.view = make([]byte, size)
-	if err := region.ReadAt(p.view, 0); err != nil {
+	loaded := min(uint64(size), p.heapOff+openReadahead)
+	if err := region.ReadAt(p.view[:loaded], 0); err != nil {
 		return nil, err
 	}
 	if err := p.recoverLogFromView(); err != nil {
 		return nil, err
 	}
 	p.heap = newHeap(p, p.heapOff, uint64(size))
-	if err := p.heap.rebuild(); err != nil {
+	if err := p.heap.rebuild(loaded); err != nil {
 		return nil, err
 	}
 	p.fillLanes()

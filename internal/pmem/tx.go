@@ -340,11 +340,14 @@ func (p *Pool) replayLane(lane uint64, readAt func(b []byte, off int64) error) e
 	return nil
 }
 
-// recoverLogFromView runs at Open, after the pool image has been read
-// into the view with a single media scan: every lane left active by a
-// crash is parsed out of the in-memory image (identical to what a media
+// recoverLogFromView runs at Open, after the header, the undo log and
+// the heap's first readahead window have been read into the view and
+// before the heap walk loads the rest: every lane left active by a
+// crash is parsed out of the in-memory log (identical to what a media
 // read would return, since log writes always go straight to the media)
-// and its snapshots are applied to both the media and the view.
+// and its snapshots are applied to both the media and the view, so the
+// bytes already loaded and those the walk loads later are the restored
+// ones.
 // Transaction ranges live in the heap and the log in its own region, so
 // an entry's data and its restore target never overlap.
 func (p *Pool) recoverLogFromView() error {

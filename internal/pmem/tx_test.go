@@ -471,9 +471,10 @@ func (c *countingRegion) Size() int64                       { return c.inner.Siz
 func (c *countingRegion) Persistent() bool                  { return c.inner.Persistent() }
 
 // TestOpenSingleMediaScan guards the Open fast path: even when undo-log
-// recovery runs, the media is scanned exactly once (header probe plus
-// one full view load) — the log is recovered from the in-memory view,
-// not from a second media pass.
+// recovery runs, Open reads no more than the header probe plus one pass
+// over the pool — the log is recovered from the in-memory view, not
+// from a second media pass (TestOpenReadsOnlyLiveHeap bounds the pass
+// itself by the live heap).
 func TestOpenSingleMediaScan(t *testing.T) {
 	p, r := createPool(t)
 	oid, err := p.Alloc(64)
